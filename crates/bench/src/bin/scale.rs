@@ -1,10 +1,11 @@
 //! Kernel-focused scaling benchmark: times the synthesis kernel itself
 //! (not the sweep layer) on the paper's benchmarks and on progressively
-//! larger random CDFGs, serial vs. parallel candidate scoring, and
+//! larger random CDFGs, pinned to one thread vs. at the default thread
+//! count (the kernel is serial, so the two columns must agree), and
 //! writes the measurement to `BENCH_2.json` (`pchls-bench-v1`, workload
 //! `synthesis-kernel`). A second workload, `engine-amortized`, times a
 //! whole constraint sweep through one compile-once [`Session`] against
-//! the per-point-recompute free-function path and writes `BENCH_3.json`.
+//! a fresh engine + compile per point and writes `BENCH_3.json`.
 //! A third workload, `service-throughput`, drives M concurrent clients
 //! × K requests each through the `pchls-serve` [`Service`] (bounded
 //! queue, worker pool, content-addressed compile cache) over a
@@ -19,8 +20,9 @@
 //!
 //! A fifth workload, `scaling`, records honest per-thread-count
 //! wall-clock curves (`BENCH_6.json`): the sweep fan-out (one
-//! Figure 2 curve through [`Session::sweep`]) and the candidate-scoring
-//! fan-out (one large random-graph synthesis) are each timed under
+//! Figure 2 curve through [`Session::sweep`]) and one large
+//! random-graph synthesis (a serial kernel: a flat control curve) are
+//! each timed under
 //! [`pchls_par::with_thread_count`] at 1/2/4/8 workers capped at the
 //! pool width. On a single-core host the curve degrades gracefully to
 //! an explicit one-point record (`single_point: true`); on multi-core
@@ -58,30 +60,31 @@
 //! A ninth workload, `edits`, replays random single-op graph edits
 //! through the incremental re-synthesis path (`BENCH_10.json`): each
 //! edit is synthesized cold (full compile + full kernel run) and
-//! incrementally ([`Engine::recompile`] +
+//! incrementally (`diff` + compile of the edited graph +
 //! [`Session::resynthesize`](pchls_core::Session) seeded from a
 //! recorded base run), the two designs are byte-diffed — decision
 //! traces and effort counters included — and the per-edit wall-clock
 //! ratio is recorded with its median asserted on multi-core hosts.
 //!
 //! `--smoke` runs a seconds-scale subset (small graphs, one repetition)
-//! so CI can keep the workloads from rotting.
+//! so CI can keep the workloads from rotting, and writes its records
+//! under `target/bench-smoke/` instead of over the committed files.
 //!
-//! Serial timings run under [`pchls_par::with_serial`], which forces
-//! every `par_map` inside the kernel onto the calling thread — the
-//! in-process A/B switch — and both sides are compared for exact
-//! equality (`outputs_identical`): parallel scoring must reproduce the
-//! serial decision trace bit for bit, and the amortized session must
-//! reproduce the free-function designs bit for bit.
+//! Serial timings run under [`pchls_par::with_thread_count`]`(1, ..)`,
+//! the in-process A/B switch, and both sides are compared for exact
+//! equality (`outputs_identical`): the default thread count must
+//! reproduce the one-thread decision trace bit for bit, and the
+//! amortized session must reproduce the per-point designs bit for bit.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use serde::Serialize;
 
 use pchls_bench::{figure2_power_grid, scale_random_case};
-use pchls_cdfg::{benchmarks, write_cdfg, Cdfg};
+use pchls_cdfg::{benchmarks, diff, write_cdfg, Cdfg};
 use pchls_core::{
     Engine, PowerBudget, Session, SweepSpec, SynthesisConstraints, SynthesisOptions,
     SynthesisRequest, SynthesizedDesign,
@@ -111,9 +114,10 @@ struct CaseRecord {
     power_bound: f64,
     /// Synthesis repetitions per side.
     reps: usize,
-    /// Wall-clock seconds for the serial-kernel side.
+    /// Best wall-clock seconds of one synthesis pinned to one thread.
     serial_secs: f64,
-    /// Wall-clock seconds for the parallel-kernel side.
+    /// Best wall-clock seconds of one synthesis at the default thread
+    /// count.
     parallel_secs: f64,
     /// Whether synthesis succeeded (both sides must agree).
     feasible: bool,
@@ -133,13 +137,14 @@ struct BenchRecord {
     threads: usize,
     /// Host cores (`available_parallelism`); speedup is bounded by this.
     host_cores: usize,
-    /// Wall-clock seconds for the serial-kernel side.
+    /// Sum of the per-case best seconds pinned to one thread.
     serial_secs: f64,
-    /// Wall-clock seconds for the parallel-kernel side.
+    /// Sum of the per-case best seconds at the default thread count.
     parallel_secs: f64,
     /// `serial_secs / parallel_secs`.
     speedup: f64,
-    /// Whether parallel scoring reproduced the serial designs exactly.
+    /// Whether the default thread count reproduced the one-thread
+    /// designs exactly.
     outputs_identical: bool,
     /// Per-case breakdown.
     cases: Vec<CaseRecord>,
@@ -159,8 +164,7 @@ struct AmortizedCaseRecord {
     /// Timing repetitions (minimum taken per side).
     reps: usize,
     /// Best wall-clock seconds for the per-point-recompute path (one
-    /// throwaway engine + compile per grid point — the deprecated
-    /// free-function behaviour).
+    /// throwaway engine + compile per grid point).
     per_point_secs: f64,
     /// Best wall-clock seconds for the compile-once session path.
     amortized_secs: f64,
@@ -188,8 +192,8 @@ struct AmortizedRecord {
     amortized_secs: f64,
     /// `per_point_secs / amortized_secs`.
     speedup: f64,
-    /// Whether the session designs equal the free-function designs
-    /// bit for bit on every point.
+    /// Whether the session designs equal the per-point designs bit for
+    /// bit on every point.
     outputs_identical: bool,
     /// Per-case breakdown.
     cases: Vec<AmortizedCaseRecord>,
@@ -214,8 +218,11 @@ fn paper_case(graph: Cdfg, latency: u32, power: f64) -> Case {
     }
 }
 
-/// The `synthesis-kernel` workload: serial vs. parallel candidate
-/// scoring through one shared session per case (BENCH_2.json).
+/// The `synthesis-kernel` workload: one thread vs. the default thread
+/// count through one shared session per case (BENCH_2.json). The
+/// kernel has no in-iteration fan-out, so the columns time the same
+/// serial loop; the record shows thread settings do not change a
+/// single synthesis.
 fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     let (cases, reps) = if smoke {
         (
@@ -235,7 +242,7 @@ fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
                 random_case(120, 12, 60.0),
                 random_case(200, 13, 60.0),
             ],
-            3,
+            21,
         )
     };
 
@@ -249,32 +256,42 @@ fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     for case in &cases {
         let compiled = engine.compile(&case.graph);
         let session = engine.session(&compiled);
-        // Warm-up (untimed) run so allocator state is comparable.
-        let _ = session.synthesize(case.constraints.clone(), opts);
-
-        let start = Instant::now();
-        let mut serial = Vec::new();
-        for _ in 0..reps {
-            serial.push(pchls_par::with_serial(|| {
-                session.synthesize(case.constraints.clone(), opts)
-            }));
+        // Warm-up (untimed) run so allocator state is comparable; its
+        // output is the reference every timed run must reproduce.
+        let reference =
+            pchls_par::with_thread_count(1, || session.synthesize(case.constraints.clone(), opts));
+        let mut identical = true;
+        // Best of `reps` per side, the sides interleaved and taking
+        // turns going first, so host drift (clock speed, caches,
+        // neighbours) lands on both columns alike. Outputs are checked
+        // and dropped at once, so neither side runs on a heap grown by
+        // the other's retained designs.
+        let (mut serial_secs, mut parallel_secs) = (f64::INFINITY, f64::INFINITY);
+        for rep in 0..reps {
+            for pinned in [rep % 2 == 0, rep % 2 == 1] {
+                // One call site for both sides: only the thread cap
+                // differs (`MAX_THREADS` leaves the default in force).
+                let cap = if pinned { 1 } else { pchls_par::MAX_THREADS };
+                let start = Instant::now();
+                let out = pchls_par::with_thread_count(cap, || {
+                    session.synthesize(case.constraints.clone(), opts)
+                });
+                let secs = start.elapsed().as_secs_f64();
+                if pinned {
+                    serial_secs = serial_secs.min(secs);
+                } else {
+                    parallel_secs = parallel_secs.min(secs);
+                }
+                identical &= match (&reference, &out) {
+                    (Ok(a), Ok(b)) => a == b && a.stats == b.stats,
+                    (Err(_), Err(_)) => true,
+                    _ => false,
+                };
+            }
         }
-        let serial_secs = start.elapsed().as_secs_f64();
 
-        let start = Instant::now();
-        let mut parallel = Vec::new();
-        for _ in 0..reps {
-            parallel.push(session.synthesize(case.constraints.clone(), opts));
-        }
-        let parallel_secs = start.elapsed().as_secs_f64();
-
-        let identical = serial.iter().zip(&parallel).all(|(s, p)| match (s, p) {
-            (Ok(a), Ok(b)) => a == b && a.stats == b.stats,
-            (Err(_), Err(_)) => true,
-            _ => false,
-        });
         outputs_identical &= identical;
-        let feasible = serial[0].is_ok();
+        let feasible = reference.is_ok();
         println!(
             "{:<12} {:>5} {:>4} {:>6} | {:>10.4} {:>10.4} {:>6.2}x {:>9}",
             case.name,
@@ -318,16 +335,13 @@ fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     );
     assert!(
         record.outputs_identical,
-        "parallel candidate scoring diverged from the serial decision trace"
+        "the default thread count diverged from the one-thread decision trace"
     );
-    let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write("BENCH_2.json", json).expect("write BENCH_2.json");
-    eprintln!("wrote BENCH_2.json");
+    write_record(smoke, "BENCH_2.json", &record);
 }
 
 /// One serial pass over `grid` through the per-point-recompute path:
-/// a throwaway engine + compile for every point, exactly what the
-/// deprecated free `synthesize` does.
+/// a throwaway engine + compile for every point.
 fn sweep_per_point(
     graph: &Cdfg,
     library: &ModuleLibrary,
@@ -391,10 +405,11 @@ fn amortized_workload(smoke: bool, opts: &SynthesisOptions) {
         let compiled = engine.compile(graph);
         let session = engine.session(&compiled);
         // Warm-up + equality check (untimed).
-        let reference =
-            pchls_par::with_serial(|| sweep_per_point(graph, &library, *latency, grid, opts));
+        let reference = pchls_par::with_thread_count(1, || {
+            sweep_per_point(graph, &library, *latency, grid, opts)
+        });
         let amortized_designs =
-            pchls_par::with_serial(|| sweep_amortized(&session, *latency, grid, opts));
+            pchls_par::with_thread_count(1, || sweep_amortized(&session, *latency, grid, opts));
         let identical = reference
             .iter()
             .zip(&amortized_designs)
@@ -409,13 +424,15 @@ fn amortized_workload(smoke: bool, opts: &SynthesisOptions) {
         let mut amortized_secs = f64::INFINITY;
         for _ in 0..reps {
             let start = Instant::now();
-            let out =
-                pchls_par::with_serial(|| sweep_per_point(graph, &library, *latency, grid, opts));
+            let out = pchls_par::with_thread_count(1, || {
+                sweep_per_point(graph, &library, *latency, grid, opts)
+            });
             per_point_secs = per_point_secs.min(start.elapsed().as_secs_f64());
             drop(out);
 
             let start = Instant::now();
-            let out = pchls_par::with_serial(|| sweep_amortized(&session, *latency, grid, opts));
+            let out =
+                pchls_par::with_thread_count(1, || sweep_amortized(&session, *latency, grid, opts));
             amortized_secs = amortized_secs.min(start.elapsed().as_secs_f64());
             drop(out);
         }
@@ -461,11 +478,9 @@ fn amortized_workload(smoke: bool, opts: &SynthesisOptions) {
     );
     assert!(
         record.outputs_identical,
-        "compile-once session diverged from the per-point free-function path"
+        "compile-once session diverged from the per-point recompute path"
     );
-    let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write("BENCH_3.json", json).expect("write BENCH_3.json");
-    eprintln!("wrote BENCH_3.json");
+    write_record(smoke, "BENCH_3.json", &record);
 }
 
 /// The `service-throughput` trajectory record (`BENCH_4.json`).
@@ -652,9 +667,7 @@ fn service_workload(smoke: bool, opts: &SynthesisOptions) {
         "a repeated-graph mix must produce compile-cache hits"
     );
     service.shutdown();
-    let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write("BENCH_4.json", json).expect("write BENCH_4.json");
-    eprintln!("wrote BENCH_4.json");
+    write_record(smoke, "BENCH_4.json", &record);
 }
 
 /// Per-case record of the `envelope-kernel` workload (`BENCH_5.json`).
@@ -764,9 +777,12 @@ fn envelope_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         let stepwise_c =
             SynthesisConstraints::new(t, PowerBudget::steps(vec![(0, p * 1.5), (t / 2, p)]));
 
-        let scalar_d = pchls_par::with_serial(|| session.synthesize(scalar_c.clone(), opts));
-        let constant_d = pchls_par::with_serial(|| session.synthesize(constant_c.clone(), opts));
-        let stepwise_d = pchls_par::with_serial(|| session.synthesize(stepwise_c.clone(), opts));
+        let scalar_d =
+            pchls_par::with_thread_count(1, || session.synthesize(scalar_c.clone(), opts));
+        let constant_d =
+            pchls_par::with_thread_count(1, || session.synthesize(constant_c.clone(), opts));
+        let stepwise_d =
+            pchls_par::with_thread_count(1, || session.synthesize(stepwise_c.clone(), opts));
         // Everything but the `constraints` field (which rightly records
         // the request's own budget spelling) must match bit for bit.
         let constant_identical = match (&scalar_d, &constant_d) {
@@ -796,7 +812,7 @@ fn envelope_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
                 .enumerate()
             {
                 let start = Instant::now();
-                let out = pchls_par::with_serial(|| session.synthesize(c.clone(), opts));
+                let out = pchls_par::with_thread_count(1, || session.synthesize(c.clone(), opts));
                 best[i] = best[i].min(start.elapsed().as_secs_f64());
                 drop(out);
             }
@@ -860,9 +876,7 @@ fn envelope_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         record.cases.iter().all(|c| c.stepwise_feasible),
         "a stepwise envelope that dominates the scalar bound must stay feasible"
     );
-    let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write("BENCH_5.json", json).expect("write BENCH_5.json");
-    eprintln!("wrote BENCH_5.json");
+    write_record(smoke, "BENCH_5.json", &record);
 }
 
 /// One per-thread-count curve of the `scaling` workload.
@@ -871,7 +885,7 @@ struct ScalingCurve {
     /// Curve label (`sweep/...` or `kernel/...`).
     name: String,
     /// Synthesis points per repetition (grid points for the sweep
-    /// fan-out, 1 for the single-synthesis kernel fan-out).
+    /// fan-out, 1 for the single-synthesis kernel control).
     points: usize,
     /// Timing repetitions (minimum taken per thread count).
     reps: usize,
@@ -972,12 +986,12 @@ fn scaling_curve_record(
 }
 
 /// The `scaling` workload: per-thread-count wall-clock curves for the
-/// sweep fan-out and the kernel's candidate-scoring fan-out
-/// (BENCH_6.json). Efficiency and monotonicity are asserted on the
-/// sweep curve (coarse-grained, one synthesis per work item) whenever
-/// more than one thread count is measurable; the kernel curve is
-/// recorded for honesty but its fine-grained fan-out makes no
-/// efficiency promise. Output identity is asserted on both, always.
+/// sweep fan-out and one kernel synthesis (BENCH_6.json). Efficiency
+/// and monotonicity are asserted on the sweep curve (coarse-grained,
+/// one synthesis per work item) whenever more than one thread count is
+/// measurable; the kernel runs serially at every thread count, so its
+/// curve is a flat control with no efficiency promise. Output identity
+/// is asserted on both, always.
 fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let pool = pchls_par::thread_count();
@@ -1127,9 +1141,7 @@ fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             );
         }
     }
-    let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write("BENCH_6.json", json).expect("write BENCH_6.json");
-    eprintln!("wrote BENCH_6.json");
+    write_record(smoke, "BENCH_6.json", &record);
 }
 
 /// The `store` trajectory record (`BENCH_7.json`).
@@ -1322,9 +1334,7 @@ fn store_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         "partial column reads must beat full-record reads, got {:.2}x",
         record.warm_full_over_partial
     );
-    let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write("BENCH_7.json", json).expect("write BENCH_7.json");
-    eprintln!("wrote BENCH_7.json");
+    write_record(smoke, "BENCH_7.json", &record);
 }
 
 /// The warm-path phase of the `overload` workload (`BENCH_8.json`).
@@ -1573,7 +1583,7 @@ fn overload_workload(smoke: bool, opts: &SynthesisOptions) {
     let warm_stats = warm_service.stats();
     warm_service.shutdown();
     let warm_points = clients * per_client;
-    let bench4_throughput_rps = std::fs::read_to_string("BENCH_4.json")
+    let bench4_throughput_rps = std::fs::read_to_string(record_path(smoke, "BENCH_4.json"))
         .ok()
         .and_then(|s| serde_json::parse(&s).ok())
         .and_then(|v| match v {
@@ -1846,9 +1856,7 @@ fn overload_workload(smoke: bool, opts: &SynthesisOptions) {
         "stats disagree with the wire"
     );
 
-    let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write("BENCH_8.json", json).expect("write BENCH_8.json");
-    eprintln!("wrote BENCH_8.json");
+    write_record(smoke, "BENCH_8.json", &record);
 }
 
 /// One kernel phase's share of the recorded trace (`BENCH_9.json`).
@@ -2070,9 +2078,7 @@ fn phases_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             record.disabled_overhead_pct
         );
     }
-    let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write("BENCH_9.json", json).expect("write BENCH_9.json");
-    eprintln!("wrote BENCH_9.json");
+    write_record(smoke, "BENCH_9.json", &record);
 }
 
 /// Per-edit record of the `edits` workload (`BENCH_10.json`).
@@ -2097,16 +2103,15 @@ struct EditRecord {
     bailed: bool,
     /// Best wall-clock seconds for a full compile of the edited graph.
     compile_secs: f64,
-    /// Best wall-clock seconds for the delta recompile (structural diff
-    /// included).
-    recompile_secs: f64,
-    /// `compile_secs / recompile_secs` — the delta-compile stage win.
-    compile_speedup: f64,
+    /// Best wall-clock seconds for the incremental path's compile
+    /// stage: `diff` against the base graph plus a full compile of the
+    /// edited graph.
+    diff_compile_secs: f64,
     /// Best wall-clock seconds for the cold path (full compile + full
     /// kernel run on the edited graph).
     full_secs: f64,
-    /// Best wall-clock seconds for the incremental path (diff + delta
-    /// recompile + memo-seeded replay).
+    /// Best wall-clock seconds for the incremental path (diff + compile
+    /// + memo-seeded replay).
     incremental_secs: f64,
     /// `full_secs / incremental_secs` — the end-to-end win.
     speedup: f64,
@@ -2144,9 +2149,6 @@ struct EditsRecord {
     full_secs: f64,
     /// Sum of the per-edit best incremental-path seconds.
     incremental_secs: f64,
-    /// Median per-edit `compile/recompile` ratio — the delta-compile
-    /// stage, where reuse is structural and the ≥5x bound is asserted.
-    median_compile_speedup: f64,
     /// Median per-edit `full/incremental` end-to-end ratio over every
     /// edit. The replay must reproduce the cold kernel's attempt
     /// sequence bit-exactly, so its win depends on how local the edit's
@@ -2235,7 +2237,7 @@ fn random_edit(graph: &Cdfg, seed: u64) -> (Cdfg, &'static str) {
 }
 
 /// The `edits` workload: random single-op edit replays on the rand200
-/// case, incremental re-synthesis vs. full recompile, byte-diffed
+/// case, incremental re-synthesis vs. a cold run, byte-diffed
 /// (BENCH_10.json).
 fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     let (case, edits, reps) = if smoke {
@@ -2264,7 +2266,8 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
                 .session(&c)
                 .synthesize(case.constraints.clone(), opts)
         });
-        let _ = engine.recompile(&compiled, &edited).map(|(c, delta)| {
+        let delta = diff(&case.graph, &edited);
+        let _ = engine.try_compile(&edited).map(|c| {
             engine
                 .session(&c)
                 .resynthesize(&memo, &delta)
@@ -2273,7 +2276,7 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     }
 
     println!(
-        "{:<4} {:>7} {:>5} {:>5} {:>6} {:>4} {:>5} | {:>9} {:>9} {:>7} | {:>9} {:>9} {:>7} {:>5}",
+        "{:<4} {:>7} {:>5} {:>5} {:>6} {:>4} {:>5} | {:>9} {:>9} | {:>9} {:>9} {:>7} {:>5}",
         "edit",
         "kind",
         "cone",
@@ -2282,14 +2285,13 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         "ext",
         "bail",
         "comp_s",
-        "rcomp_s",
-        "cx",
+        "dcomp_s",
         "full_s",
         "inc_s",
         "e2e",
         "ident"
     );
-    println!("{}", "-".repeat(110));
+    println!("{}", "-".repeat(100));
     let mut records = Vec::new();
     let mut outputs_identical = true;
     for e in 0..edits {
@@ -2319,19 +2321,19 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             }
         });
 
-        // Incremental side: diff + delta recompile, then memo-seeded
-        // replay.
-        let mut recompile_secs = f64::INFINITY;
+        // Incremental side: diff + compile of the edited graph, then
+        // memo-seeded replay.
+        let mut diff_compile_secs = f64::INFINITY;
         let mut resynth_secs = f64::INFINITY;
         let mut replayed = None;
         pchls_par::with_thread_count(1, || {
             for _ in 0..reps {
                 let start = Instant::now();
-                let rc = engine.recompile(&compiled, &edited);
-                recompile_secs = recompile_secs.min(start.elapsed().as_secs_f64());
+                let delta = diff(&case.graph, &edited);
+                let c = engine.try_compile(&edited);
+                diff_compile_secs = diff_compile_secs.min(start.elapsed().as_secs_f64());
                 let start = Instant::now();
-                let outcome =
-                    rc.and_then(|(c, delta)| engine.session(&c).resynthesize(&memo, &delta));
+                let outcome = c.and_then(|c| engine.session(&c).resynthesize(&memo, &delta));
                 resynth_secs = resynth_secs.min(start.elapsed().as_secs_f64());
                 replayed = Some(outcome);
             }
@@ -2358,12 +2360,11 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         };
         outputs_identical &= identical;
         let full_secs = compile_secs + synth_secs;
-        let incremental_secs = recompile_secs + resynth_secs;
-        let compile_speedup = compile_secs / recompile_secs;
+        let incremental_secs = diff_compile_secs + resynth_secs;
         let speedup = full_secs / incremental_secs;
         println!(
-            "{:<4} {:>7} {:>5} {:>5} {:>6} {:>4} {:>5} | {:>9.4} {:>9.4} {:>6.1}x | {:>9.4} \
-             {:>9.4} {:>6.2}x {:>5}",
+            "{:<4} {:>7} {:>5} {:>5} {:>6} {:>4} {:>5} | {:>9.4} {:>9.4} | {:>9.4} {:>9.4} \
+             {:>6.2}x {:>5}",
             e,
             kind,
             cone,
@@ -2372,8 +2373,7 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             extensions,
             bailed,
             compile_secs,
-            recompile_secs,
-            compile_speedup,
+            diff_compile_secs,
             full_secs,
             incremental_secs,
             speedup,
@@ -2388,8 +2388,7 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             extensions,
             bailed,
             compile_secs,
-            recompile_secs,
-            compile_speedup,
+            diff_compile_secs,
             full_secs,
             incremental_secs,
             speedup,
@@ -2401,7 +2400,6 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         xs[xs.len() / 2]
     };
-    let median_compile_speedup = median(records.iter().map(|r| r.compile_speedup).collect());
     let median_speedup = median(records.iter().map(|r| r.speedup).collect());
     // "Tracked" replays followed the memo to the end of the run; bailed
     // ones abandoned it mid-run after the commit order diverged.
@@ -2436,7 +2434,6 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         record_secs,
         full_secs: records.iter().map(|r| r.full_secs).sum(),
         incremental_secs: records.iter().map(|r| r.incremental_secs).sum(),
-        median_compile_speedup,
         median_speedup,
         tracked_edits,
         tracked_median_speedup,
@@ -2495,9 +2492,32 @@ fn edits_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             record.median_speedup
         );
     }
-    let json = serde_json::to_string_pretty(&record).expect("serializable");
-    std::fs::write("BENCH_10.json", json).expect("write BENCH_10.json");
-    eprintln!("wrote BENCH_10.json");
+    write_record(smoke, "BENCH_10.json", &record);
+}
+
+/// Directory `--smoke` runs write their records to, so a smoke run
+/// never overwrites the committed `BENCH_*.json` files.
+const SMOKE_DIR: &str = "target/bench-smoke";
+
+/// Where the record `name` lives: the repository root for full runs,
+/// [`SMOKE_DIR`] for smoke runs.
+fn record_path(smoke: bool, name: &str) -> PathBuf {
+    if smoke {
+        Path::new(SMOKE_DIR).join(name)
+    } else {
+        PathBuf::from(name)
+    }
+}
+
+/// Writes `record` as pretty JSON to [`record_path`]`(smoke, name)`.
+fn write_record(smoke: bool, name: &str, record: &impl Serialize) {
+    if smoke {
+        std::fs::create_dir_all(SMOKE_DIR).expect("create the smoke record directory");
+    }
+    let path = record_path(smoke, name);
+    let json = serde_json::to_string_pretty(record).expect("serializable");
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    eprintln!("wrote {}", path.display());
 }
 
 fn main() {

@@ -29,7 +29,8 @@ struct BenchRecord {
     host_cores: usize,
     /// Wall-clock seconds for the curve-at-a-time serial reference.
     serial_secs: f64,
-    /// Wall-clock seconds for the `sweep_many` whole-figure fan-out.
+    /// Wall-clock seconds for the `Engine::sweep_batch` whole-figure
+    /// fan-out.
     parallel_secs: f64,
     /// `serial_secs / parallel_secs`.
     speedup: f64,
@@ -42,12 +43,10 @@ fn figure2_perf() -> BenchRecord {
     let curves = figure2_curves();
     let points = curves.len() * figure2_power_grid().len();
 
-    // `with_serial` keeps the reference fully serial: without it the
-    // kernel's own candidate-scoring fan-out (PR 2) would run inside
-    // the "serial" timing loop on multi-core hosts and silently change
-    // what this trajectory number means.
+    // One thread for the whole reference, so the serial column never
+    // picks up a fan-out on multi-core hosts.
     let start = Instant::now();
-    let serial: Vec<_> = pchls_par::with_serial(|| {
+    let serial: Vec<_> = pchls_par::with_thread_count(1, || {
         curves
             .iter()
             .map(|(g, t)| run_curve_serial(g, &lib, *t))
@@ -119,7 +118,7 @@ fn main() {
         );
     }
 
-    println!("\nFigure 2 regeneration (serial vs. parallel sweep_many)…");
+    println!("\nFigure 2 regeneration (serial vs. parallel sweep_batch)…");
     let record = figure2_perf();
     println!(
         "{} points | {} thread(s) on {} core(s) | serial {:.2}s | parallel {:.2}s | speedup {:.2}x | identical: {}",

@@ -78,10 +78,10 @@ fn parallel_sweeps_are_reproducible_across_runs() {
     assert_eq!(a, b);
 }
 
-/// The kernel-level guarantee: parallel candidate scoring inside
-/// `synthesize` must reproduce the serial decision trace — designs *and*
-/// effort counters — on every Figure 2 curve, across the whole power
-/// axis (feasible and infeasible points alike).
+/// The kernel-level guarantee: `synthesize` at the host's thread count
+/// must reproduce the one-thread decision trace — designs *and* effort
+/// counters — on every Figure 2 curve, across the whole power axis
+/// (feasible and infeasible points alike).
 #[test]
 fn kernel_parallel_scoring_reproduces_serial_trace_on_figure2_curves() {
     let engine = Engine::new(paper_library());
@@ -91,7 +91,8 @@ fn kernel_parallel_scoring_reproduces_serial_trace_on_figure2_curves() {
         let session = engine.session(&compiled);
         for power in thinned_grid() {
             let constraints = pchls_core::SynthesisConstraints::new(latency, power);
-            let serial = pchls_par::with_serial(|| session.synthesize(constraints.clone(), &opts));
+            let serial =
+                pchls_par::with_thread_count(1, || session.synthesize(constraints.clone(), &opts));
             let parallel = session.synthesize(constraints, &opts);
             match (serial, parallel) {
                 (Ok(a), Ok(b)) => {
@@ -115,8 +116,8 @@ fn kernel_parallel_scoring_reproduces_serial_trace_on_figure2_curves() {
     }
 }
 
-/// Larger-than-paper graphs cross the kernel's parallel threshold from
-/// the first iteration; the serial trace must still be reproduced.
+/// Larger-than-paper graphs (60 ops, wide iterations from the start)
+/// must reproduce the one-thread trace too.
 #[test]
 fn kernel_parallel_scoring_reproduces_serial_trace_on_large_random_graphs() {
     let lib = paper_library();
@@ -140,8 +141,9 @@ fn kernel_parallel_scoring_reproduces_serial_trace_on_large_random_graphs() {
         let constraints = pchls_core::SynthesisConstraints::new(latency, 60.0);
         let compiled = engine.compile(&graph);
         let session = engine.session(&compiled);
-        let serial = pchls_par::with_serial(|| session.synthesize(constraints.clone(), &opts))
-            .expect("feasible");
+        let serial =
+            pchls_par::with_thread_count(1, || session.synthesize(constraints.clone(), &opts))
+                .expect("feasible");
         let parallel = session.synthesize(constraints, &opts).expect("feasible");
         assert_eq!(serial, parallel, "seed {seed} design");
         assert_eq!(serial.stats, parallel.stats, "seed {seed} trace");

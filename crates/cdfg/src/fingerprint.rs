@@ -258,8 +258,8 @@ pub(crate) fn canonical_hashes(graph: &Cdfg) -> Vec<u64> {
 /// * **edit locality**: an edit changes the cone fingerprints of
 ///   exactly the nodes whose dependence cone the edit intersects —
 ///   nodes outside the edit cone of [`diff`](crate::diff) keep their
-///   value bit-for-bit, which is what lets delta compilation certify
-///   reuse.
+///   value bit-for-bit, so per-node results keyed by them stay valid
+///   outside the cone.
 ///
 /// Like [`graph_fingerprint`] this is a hash, not a proof: act on a
 /// match only after a full verify.

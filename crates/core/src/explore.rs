@@ -1,10 +1,9 @@
 //! Design-space exploration: the sweeps behind Figure 2.
 //!
-//! The free sweep functions in this module predate the
-//! [`Engine`](crate::Engine) API and are kept as thin shims: each builds
-//! a throwaway engine, compiles the graph **once for the whole sweep**,
-//! and delegates to [`Session::sweep`](crate::Session::sweep). New code
-//! should compile once and sweep many times instead.
+//! Sweeps run through [`Session::sweep`](crate::Session::sweep) and
+//! [`Engine::sweep_batch`](crate::Engine::sweep_batch); this module
+//! holds the point type, the monotone-envelope pass they share, and
+//! the one-at-a-time serial references they are tested against.
 
 use serde::{Deserialize, Serialize};
 
@@ -12,7 +11,7 @@ use pchls_cdfg::Cdfg;
 use pchls_fulib::ModuleLibrary;
 
 use crate::constraints::SynthesisConstraints;
-use crate::engine::{CompiledGraph, Engine, SweepSpec};
+use crate::engine::{CompiledGraph, Engine};
 use crate::options::SynthesisOptions;
 use crate::synthesis::synthesize_session;
 
@@ -53,7 +52,10 @@ pub(crate) enum SweepAxis {
 }
 
 /// Synthesizes `graph` at a fixed latency for every power bound in
-/// `powers`, producing one curve of Figure 2.
+/// `powers`, one point at a time: the serial reference for
+/// [`Session::sweep`](crate::Session::sweep) over a
+/// [`SweepSpec::power`](crate::SweepSpec::power) grid, which must match
+/// it byte for byte.
 ///
 /// Any design feasible under a tight power bound remains feasible under
 /// every looser one, so each point reports the best design found at any
@@ -61,37 +63,6 @@ pub(crate) enum SweepAxis {
 /// greedy heuristic can otherwise produce occasional upward blips where
 /// *less* pressure sends it down a worse path; the envelope is what a
 /// designer sweeping the constraint would actually keep.)
-///
-/// Every grid point is an independent synthesis run, so the raw-points
-/// phase executes in parallel across all cores ([`pchls_par::par_map`]);
-/// the envelope pass then runs sequentially in ascending-bound order,
-/// making the output **byte-identical** to a serial sweep
-/// ([`power_sweep_serial`]). Set `PCHLS_THREADS=1` to force serial
-/// execution.
-#[deprecated(
-    since = "0.2.0",
-    note = "compile once and sweep many times: `engine.session(&compiled)\
-            .sweep(&SweepSpec::power(latency, powers.to_vec()), options)`"
-)]
-#[must_use]
-pub fn power_sweep(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    latency: u32,
-    powers: &[f64],
-    options: &SynthesisOptions,
-) -> Vec<SweepPoint> {
-    let engine = Engine::new(library.clone());
-    let compiled = engine.compile(graph);
-    engine
-        .session(&compiled)
-        .sweep(&SweepSpec::power(latency, powers.to_vec()), options)
-        .into_points()
-}
-
-/// Reference serial implementation of [`power_sweep`]: identical output,
-/// one synthesis at a time. Kept as the baseline the determinism tests
-/// and the perf suite compare against.
 #[must_use]
 pub fn power_sweep_serial(
     graph: &Cdfg,
@@ -117,34 +88,13 @@ pub fn power_sweep_serial(
 }
 
 /// Synthesizes `graph` at a fixed power bound for every latency in
-/// `latencies` (the orthogonal cut through the constraint space).
+/// `latencies` (the orthogonal cut through the constraint space), one
+/// point at a time: the serial reference for a
+/// [`SweepSpec::latency`](crate::SweepSpec::latency) sweep.
 ///
-/// As with [`power_sweep`], each point reports the best design found at
-/// any latency `≤ T` — a design meeting a tighter deadline meets every
-/// looser one. Raw points run in parallel; the envelope is sequential,
-/// so the output equals [`latency_sweep_serial`] exactly.
-#[deprecated(
-    since = "0.2.0",
-    note = "compile once and sweep many times: `engine.session(&compiled)\
-            .sweep(&SweepSpec::latency(power, latencies.to_vec()), options)`"
-)]
-#[must_use]
-pub fn latency_sweep(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    power: f64,
-    latencies: &[u32],
-    options: &SynthesisOptions,
-) -> Vec<SweepPoint> {
-    let engine = Engine::new(library.clone());
-    let compiled = engine.compile(graph);
-    engine
-        .session(&compiled)
-        .sweep(&SweepSpec::latency(power, latencies.to_vec()), options)
-        .into_points()
-}
-
-/// Reference serial implementation of [`latency_sweep`].
+/// As with [`power_sweep_serial`], each point reports the best design
+/// found at any latency `≤ T` — a design meeting a tighter deadline
+/// meets every looser one.
 #[must_use]
 pub fn latency_sweep_serial(
     graph: &Cdfg,
@@ -167,56 +117,6 @@ pub fn latency_sweep_serial(
         })
         .collect();
     envelope(raw, &latency_order(latencies), SweepAxis::Latency)
-}
-
-/// One whole-curve request for [`sweep_many`]: a graph swept over
-/// `powers` at a fixed `latency`.
-#[derive(Debug, Clone)]
-pub struct SweepRequest<'a> {
-    /// The benchmark graph.
-    pub graph: &'a Cdfg,
-    /// Latency constraint `T` for the whole curve.
-    pub latency: u32,
-    /// Power bounds of the curve's grid.
-    pub powers: &'a [f64],
-}
-
-/// Runs many power-sweep curves at once, fanning **all grid points of
-/// all curves** out across the worker pool.
-///
-/// This is the entry point for whole-figure regeneration (all six
-/// Figure 2 curves at once): flattening the `curves × grid` rectangle
-/// into one job list keeps every core busy even while the last few
-/// expensive points of one curve are still running, which a
-/// curve-at-a-time loop over [`power_sweep`] cannot do. Each returned
-/// curve is byte-identical to [`power_sweep_serial`] on the same inputs.
-#[deprecated(
-    since = "0.2.0",
-    note = "compile each graph once and use `engine.sweep_batch(&jobs, options)` \
-            with `SweepJob { compiled, spec }` entries"
-)]
-#[must_use]
-pub fn sweep_many(
-    requests: &[SweepRequest<'_>],
-    library: &ModuleLibrary,
-    options: &SynthesisOptions,
-) -> Vec<Vec<SweepPoint>> {
-    use crate::engine::SweepJob;
-    let engine = Engine::new(library.clone());
-    let compiled: Vec<CompiledGraph> = requests.iter().map(|r| engine.compile(r.graph)).collect();
-    let jobs: Vec<SweepJob<'_>> = requests
-        .iter()
-        .zip(&compiled)
-        .map(|(r, c)| SweepJob {
-            compiled: c,
-            spec: SweepSpec::power(r.latency, r.powers.to_vec()),
-        })
-        .collect();
-    engine
-        .sweep_batch(&jobs, options)
-        .into_iter()
-        .map(crate::engine::SweepResult::into_points)
-        .collect()
 }
 
 /// Ascending visit order over a float grid.
@@ -326,20 +226,27 @@ pub fn auto_power_grid(graph: &Cdfg, library: &ModuleLibrary, steps: usize) -> V
 
 #[cfg(test)]
 mod tests {
-    // These tests cover the deprecated shims on purpose: they must stay
-    // byte-identical to the session path until removed.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::engine::SweepSpec;
     use pchls_cdfg::benchmarks;
     use pchls_fulib::paper_library;
+
+    /// `spec` swept over a fresh compile of `g`.
+    fn sweep(g: &Cdfg, spec: SweepSpec) -> Vec<SweepPoint> {
+        let engine = Engine::new(paper_library());
+        let compiled = engine.compile(g);
+        engine
+            .session(&compiled)
+            .sweep(&spec, &SynthesisOptions::default())
+            .into_points()
+    }
 
     #[test]
     fn power_sweep_area_is_monotone_nonincreasing_on_hal() {
         let g = benchmarks::hal();
         let lib = paper_library();
         let grid = auto_power_grid(&g, &lib, 8);
-        let points = power_sweep(&g, &lib, 17, &grid, &SynthesisOptions::default());
+        let points = sweep(&g, SweepSpec::power(17, grid));
         let areas: Vec<u64> = points.iter().filter_map(|p| p.area).collect();
         assert!(areas.len() >= 4, "most of the grid is feasible");
         for w in areas.windows(2) {
@@ -349,9 +256,7 @@ mod tests {
 
     #[test]
     fn infeasible_points_are_marked() {
-        let g = benchmarks::hal();
-        let lib = paper_library();
-        let points = power_sweep(&g, &lib, 10, &[0.5, 1e6], &SynthesisOptions::default());
+        let points = sweep(&benchmarks::hal(), SweepSpec::power(10, vec![0.5, 1e6]));
         assert!(!points[0].is_feasible());
         assert!(points[1].is_feasible());
     }
@@ -360,10 +265,9 @@ mod tests {
     fn tighter_latency_curve_dominates() {
         // Figure 2: the T=10 hal curve lies above the T=17 curve.
         let g = benchmarks::hal();
-        let lib = paper_library();
-        let grid = [30.0, 60.0, 120.0];
-        let tight = power_sweep(&g, &lib, 10, &grid, &SynthesisOptions::default());
-        let loose = power_sweep(&g, &lib, 17, &grid, &SynthesisOptions::default());
+        let grid = vec![30.0, 60.0, 120.0];
+        let tight = sweep(&g, SweepSpec::power(10, grid.clone()));
+        let loose = sweep(&g, SweepSpec::power(17, grid));
         for (a, b) in tight.iter().zip(&loose) {
             if let (Some(at), Some(bt)) = (a.area, b.area) {
                 assert!(at >= bt, "T=10 area {at} < T=17 area {bt}");
@@ -383,14 +287,9 @@ mod tests {
 
     #[test]
     fn latency_sweep_runs_and_is_monotone() {
-        let g = benchmarks::hal();
-        let lib = paper_library();
-        let pts = latency_sweep(
-            &g,
-            &lib,
-            25.0,
-            &[8, 12, 17, 25],
-            &SynthesisOptions::default(),
+        let pts = sweep(
+            &benchmarks::hal(),
+            SweepSpec::latency(25.0, vec![8, 12, 17, 25]),
         );
         assert_eq!(pts.len(), 4);
         assert!(pts.iter().skip(1).all(SweepPoint::is_feasible));
@@ -406,7 +305,7 @@ mod tests {
         let lib = paper_library();
         let grid = auto_power_grid(&g, &lib, 12);
         for t in [10, 17] {
-            let par = power_sweep(&g, &lib, t, &grid, &SynthesisOptions::default());
+            let par = sweep(&g, SweepSpec::power(t, grid.clone()));
             let ser = power_sweep_serial(&g, &lib, t, &grid, &SynthesisOptions::default());
             assert_eq!(par, ser, "T={t}");
         }
@@ -417,49 +316,17 @@ mod tests {
         let g = benchmarks::cosine();
         let lib = paper_library();
         let lats = [10, 12, 15, 19, 25];
-        let par = latency_sweep(&g, &lib, 30.0, &lats, &SynthesisOptions::default());
+        let par = sweep(&g, SweepSpec::latency(30.0, lats.to_vec()));
         let ser = latency_sweep_serial(&g, &lib, 30.0, &lats, &SynthesisOptions::default());
         assert_eq!(par, ser);
     }
 
     #[test]
-    fn sweep_many_matches_per_curve_sweeps() {
-        let hal = benchmarks::hal();
-        let cosine = benchmarks::cosine();
-        let grid = [10.0, 20.0, 40.0, 80.0];
-        let opts = SynthesisOptions::default();
-        let lib = paper_library();
-        let requests = [
-            SweepRequest {
-                graph: &hal,
-                latency: 17,
-                powers: &grid,
-            },
-            SweepRequest {
-                graph: &cosine,
-                latency: 15,
-                powers: &grid,
-            },
-        ];
-        let many = sweep_many(&requests, &lib, &opts);
-        assert_eq!(many.len(), 2);
-        assert_eq!(many[0], power_sweep_serial(&hal, &lib, 17, &grid, &opts));
-        assert_eq!(many[1], power_sweep_serial(&cosine, &lib, 15, &grid, &opts));
-    }
-
-    #[test]
     fn pareto_front_drops_dominated_points() {
         let g = benchmarks::hal();
-        let lib = paper_library();
         let mut all = Vec::new();
         for t in [10, 17] {
-            all.extend(power_sweep(
-                &g,
-                &lib,
-                t,
-                &[10.0, 20.0, 40.0],
-                &SynthesisOptions::default(),
-            ));
+            all.extend(sweep(&g, SweepSpec::power(t, vec![10.0, 20.0, 40.0])));
         }
         let front = pareto_front(&all);
         assert!(!front.is_empty());

@@ -58,45 +58,10 @@ pub(crate) enum KernelMode<'m, 'r> {
     Replay(&'r mut ReplayState<'m>),
 }
 
-/// Synthesizes `graph` under `constraints`, minimizing functional-unit
-/// area (see the crate-level documentation for the algorithm).
-///
-/// This is the legacy one-shot entry point: it builds a throwaway
-/// [`Engine`], compiles the graph, synthesizes once and discards both —
-/// re-deriving the library indexes and reachability bitsets every call.
-/// Callers synthesizing the same graph more than once should hold an
-/// [`Engine`] and a [`CompiledGraph`] instead; the output is
-/// byte-identical either way.
-///
-/// # Errors
-///
-/// * [`SynthesisError::Infeasible`] when no power-feasible schedule fits
-///   the latency bound — the `(T, P<)` point is outside the feasible
-///   region.
-/// * [`SynthesisError::Schedule`] / [`SynthesisError::Bind`] on internal
-///   validation failures (defended by tests; callers can treat any error
-///   as "no design produced").
-#[deprecated(
-    since = "0.2.0",
-    note = "build an `Engine` once and reuse it across constraint points: \
-            `Engine::new(library.clone())`, `engine.compile(graph)`, then \
-            `engine.session(&compiled).synthesize(constraints, options)`"
-)]
-pub fn synthesize(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    constraints: SynthesisConstraints,
-    options: &SynthesisOptions,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    let engine = Engine::new(library.clone());
-    let compiled = engine.compile(graph);
-    synthesize_session(&engine, &compiled, &constraints, options, None)
-}
-
 /// The combined loop over precompiled shared artifacts — the engine's
 /// library indexes and the compiled graph's reachability/bootstrap
-/// state. All public entry points ([`synthesize`],
-/// [`Session::synthesize`](crate::Session::synthesize), sweeps,
+/// state. All public entry points
+/// ([`Session::synthesize`](crate::Session::synthesize), sweeps,
 /// batches) funnel here.
 pub(crate) fn synthesize_session(
     engine: &Engine,
@@ -228,14 +193,6 @@ pub(crate) fn synthesize_session_mode(
 
         scratch.unbound_vec.clear();
         scratch.unbound_vec.extend(unbound.iter());
-        // Candidate scoring fans out across the worker pool only when
-        // the iteration is wide enough to amortize the spawn and a
-        // fan-out would actually happen (single-worker hosts and nested
-        // sweep workers stay on the buffer-free serial shape); both
-        // paths produce bit-identical decisions (see
-        // `enumerate_candidates`).
-        let parallel = scratch.unbound_vec.len() >= PAR_MIN_OPS
-            && pchls_par::would_parallelize(scratch.unbound_vec.len());
 
         instance_busy_into(&binding, &locked, &timing, &mut scratch.busy);
         // Open instances bucketed by module (ascending instance id per
@@ -365,15 +322,13 @@ pub(crate) fn synthesize_session_mode(
                 };
                 {
                     let mut score_span = pchls_obs::span!("kernel.score");
-                    ctx.precompute_tables(&scratch.unbound_vec, parallel);
+                    ctx.precompute_tables(&scratch.unbound_vec);
                     scratch.candidates.clear();
                     enumerate_candidates(
                         &ctx,
                         &scratch.unbound_vec,
                         unbound.words(),
-                        parallel,
                         &mut scratch.candidates,
-                        &mut scratch.pairs,
                     );
                     score_span.arg("candidates", scratch.candidates.len());
                 }
@@ -447,15 +402,13 @@ pub(crate) fn synthesize_session_mode(
         } else {
             {
                 let mut score_span = pchls_obs::span!("kernel.score");
-                ctx.precompute_tables(&scratch.unbound_vec, parallel);
+                ctx.precompute_tables(&scratch.unbound_vec);
                 scratch.candidates.clear();
                 enumerate_candidates(
                     &ctx,
                     &scratch.unbound_vec,
                     unbound.words(),
-                    parallel,
                     &mut scratch.candidates,
-                    &mut scratch.pairs,
                 );
                 score_span.arg("candidates", scratch.candidates.len());
             }
@@ -692,11 +645,6 @@ fn backtrack_all(
     Ok(())
 }
 
-/// Minimum unbound-op count at which one scoring iteration fans out
-/// across the worker pool: below this the per-iteration thread spawn
-/// costs more than the (identical) serial pass.
-const PAR_MIN_OPS: usize = 24;
-
 /// Candidate attempts per iteration: commits are tried best-first and a
 /// pathological iteration must stay cheap.
 pub(crate) const MAX_ATTEMPTS: usize = 64;
@@ -704,8 +652,7 @@ pub(crate) const MAX_ATTEMPTS: usize = 64;
 /// Read-only state shared by the candidate enumeration helpers, plus
 /// per-iteration score tables (every tabulated quantity depends only on
 /// state that is fixed for the whole enumeration pass, so the tables are
-/// filled up-front — in parallel on wide iterations — and the scoring
-/// context stays `Sync` for the fan-out).
+/// filled up-front).
 pub(crate) struct Context<'a> {
     pub(crate) graph: &'a Cdfg,
     pub(crate) library: &'a ModuleLibrary,
@@ -810,8 +757,6 @@ struct Scratch {
     by_module: Vec<Vec<InstanceId>>,
     /// The iteration's enumerated decisions.
     candidates: Vec<Decision>,
-    /// Pair-merge work list (parallel enumeration only).
-    pairs: Vec<(NodeId, NodeId)>,
     /// Bounded best-`MAX_ATTEMPTS` ranking over candidate indices.
     top: TopK<u32>,
     /// `Context::start0` score table, handed back after each iteration.
@@ -827,7 +772,6 @@ impl Scratch {
             busy: Vec::new(),
             by_module: vec![Vec::new(); lib_len],
             candidates: Vec::new(),
-            pairs: Vec::new(),
             top: TopK::new(MAX_ATTEMPTS),
             start0: Vec::new(),
             avoided: Vec::new(),
@@ -837,11 +781,8 @@ impl Scratch {
 
 impl Context<'_> {
     /// Fills the `start0`/`avoided` score tables for the unbound
-    /// operations, fanning the per-op rows across the worker pool on
-    /// wide iterations (each row is an independent pure function of the
-    /// iteration-fixed state, and [`pchls_par::par_map`] preserves input
-    /// order, so the tables are bit-identical to a serial fill).
-    fn precompute_tables(&mut self, unbound: &[NodeId], parallel: bool) {
+    /// operations.
+    fn precompute_tables(&mut self, unbound: &[NodeId]) {
         let lib_len = self.library.len();
         // The tables live in the caller's scratch between iterations:
         // clear + resize reuses their capacity while resetting every
@@ -850,24 +791,9 @@ impl Context<'_> {
         let mut start0 = std::mem::take(&mut self.start0);
         start0.clear();
         start0.resize(self.graph.len() * lib_len, None);
-        if parallel {
-            let rows: Vec<Vec<(ModuleId, Option<u32>)>> = pchls_par::par_map(unbound, |&u| {
-                self.kind_list(u)
-                    .iter()
-                    .map(|&m| (m, self.candidate_start(u, m, 0)))
-                    .collect()
-            });
-            for (&u, row) in unbound.iter().zip(&rows) {
-                for &(m, s) in row {
-                    start0[u.index() * lib_len + m.index()] = s;
-                }
-            }
-        } else {
-            // Narrow iteration: fill in place, no per-op row buffers.
-            for &u in unbound {
-                for &m in self.kind_list(u) {
-                    start0[u.index() * lib_len + m.index()] = self.candidate_start(u, m, 0);
-                }
+        for &u in unbound {
+            for &m in self.kind_list(u) {
+                start0[u.index() * lib_len + m.index()] = self.candidate_start(u, m, 0);
             }
         }
         let mut avoided = std::mem::take(&mut self.avoided);
@@ -1003,8 +929,8 @@ impl Context<'_> {
 }
 
 /// Enumerates every feasible decision for the unbound operations into
-/// `out` (cleared by the caller; `pair_buf` is the parallel path's
-/// reusable work-list buffer).
+/// `out` (cleared by the caller): each op's single decisions, then every
+/// pair merge.
 ///
 /// Pair partners come from a word walk, not a nested scan: for each
 /// unbound `u`, `unbound ∧ compat_row(kind(u)) ∧ (id > u)` is two
@@ -1014,57 +940,24 @@ impl Context<'_> {
 /// early-return, in the same ascending order — dropped pairs produced
 /// no decisions, so enumeration indices (and the trace) are unchanged.
 ///
-/// Scoring is embarrassingly parallel over a *deterministic* work list:
-/// one item per unbound op (its existing-instance merges and dedicated
-/// fallback) followed by one per surviving pair.
-/// [`pchls_par::par_map`] preserves item order, each item's decisions
-/// are generated in the same inner order as the serial loops, and the
-/// caller's ranking is stable over this enumeration index — a fixed
-/// `(score, start, op, enumeration index)` total order — so the
-/// committed decision, and therefore the whole synthesis trace, is
-/// bit-identical to a serial run regardless of thread count.
+/// The loop is serial on purpose: the greedy loop commits one decision
+/// per iteration against a shared ledger, so parallelism lives across
+/// constraint points and requests (sweeps, batches, serve pools), where
+/// it pays. An in-iteration fan-out measured slower than this loop.
 fn enumerate_candidates(
     ctx: &Context<'_>,
     unbound_vec: &[NodeId],
     unbound_words: &[u64],
-    parallel: bool,
     out: &mut Vec<Decision>,
-    pair_buf: &mut Vec<(NodeId, NodeId)>,
 ) {
-    if !parallel {
-        // Narrow iteration: one shared output vector, no per-item
-        // buffers — the allocation profile of the fully serial loops.
-        for &u in unbound_vec {
-            single_decisions(ctx, u, out);
-        }
-        for &u in unbound_vec {
-            for v in iter_and_above(unbound_words, ctx.compat_row(u), u.index()) {
-                pair_decisions(ctx, u, v, out);
-            }
-        }
-        return;
+    for &u in unbound_vec {
+        single_decisions(ctx, u, out);
     }
-
-    let singles = pchls_par::par_map(unbound_vec, |&u| {
-        let mut items = Vec::new();
-        single_decisions(ctx, u, &mut items);
-        items
-    });
-    // (2) Pair merges: two unbound operations opening one shared unit,
-    // work list built by the same word walk as the serial loop.
-    pair_buf.clear();
     for &u in unbound_vec {
         for v in iter_and_above(unbound_words, ctx.compat_row(u), u.index()) {
-            pair_buf.push((u, v));
+            pair_decisions(ctx, u, v, out);
         }
     }
-    let paired = pchls_par::par_map(pair_buf, |&(u, v)| {
-        let mut items = Vec::new();
-        pair_decisions(ctx, u, v, &mut items);
-        items
-    });
-
-    out.extend(singles.into_iter().chain(paired).flatten());
 }
 
 /// Appends the decisions binding one unbound operation on its own:
@@ -1453,21 +1346,6 @@ mod tests {
 
     fn synth(graph: &Cdfg, latency: u32, power: f64) -> Result<SynthesizedDesign, SynthesisError> {
         synth_opts(graph, latency, power, &SynthesisOptions::default())
-    }
-
-    #[test]
-    fn deprecated_free_function_matches_the_session_path() {
-        #[allow(deprecated)]
-        let via_shim = synthesize(
-            &benchmarks::hal(),
-            &paper_library(),
-            SynthesisConstraints::new(17, 25.0),
-            &SynthesisOptions::default(),
-        )
-        .unwrap();
-        let via_session = synth(&benchmarks::hal(), 17, 25.0).unwrap();
-        assert_eq!(via_shim, via_session);
-        assert_eq!(via_shim.stats, via_session.stats);
     }
 
     #[test]

@@ -26,10 +26,10 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 thread_local! {
-    /// Whether this thread is already inside a [`par_map`] worker (or a
-    /// [`with_serial`] scope). Nested `par_map` calls run serially so an
-    /// outer fan-out (e.g. a design-space sweep) composed with an inner
-    /// one (candidate scoring in the synthesis kernel) cannot
+    /// Whether this thread is already inside a [`par_map`] worker (or is
+    /// a [dedicated](dedicate_thread) pool worker). Nested `par_map`
+    /// calls run serially so an outer fan-out (e.g. a batch of sweeps)
+    /// composed with an inner one (each sweep's points) cannot
     /// oversubscribe the machine with `workers²` threads.
     static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
 
@@ -68,10 +68,9 @@ fn effective_thread_count() -> usize {
 /// This is the in-process knob behind the `scaling` benchmark's
 /// per-thread-count curves: the cached [`thread_count`] resolves the
 /// `PCHLS_THREADS` environment once per process, so curves over 1/2/4/8
-/// workers need a scoped override instead. `with_thread_count(1, f)` is
-/// equivalent to [`with_serial`] for fan-out purposes (every `par_map`
-/// degenerates to the serial map), and results are byte-identical at
-/// every cap because [`par_map`] is order-preserving.
+/// workers need a scoped override instead. `with_thread_count(1, f)`
+/// pins every `par_map` to the serial map, and results are
+/// byte-identical at every cap because [`par_map`] is order-preserving.
 pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     let cap = threads.clamp(1, MAX_THREADS);
     let prev = THREAD_CAP.with(|c| c.replace(cap));
@@ -80,37 +79,16 @@ pub fn with_thread_count<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Whether a [`par_map`] call on this thread over `items` items would
-/// actually fan out: more than one worker available and not already
-/// inside a parallel region (or a [`with_serial`] scope). Callers with a
-/// serial fast path that avoids per-item buffers can consult this to
-/// skip the parallel shape when it buys nothing.
-#[must_use]
-pub fn would_parallelize(items: usize) -> bool {
-    items > 1 && !IN_PARALLEL_REGION.with(Cell::get) && effective_thread_count() > 1
-}
-
-/// Runs `f` with all [`par_map`] calls on this thread forced serial.
-///
-/// This is the deterministic A/B switch the benchmarks use to time the
-/// serial reference of a parallel kernel in-process, without touching
-/// the global `PCHLS_THREADS` environment.
-pub fn with_serial<R>(f: impl FnOnce() -> R) -> R {
-    let prev = IN_PARALLEL_REGION.with(|c| c.replace(true));
-    let out = f();
-    IN_PARALLEL_REGION.with(|c| c.set(prev));
-    out
-}
-
 /// Permanently marks the current thread as a dedicated worker: every
 /// [`par_map`] call on it runs serially from now on.
 ///
 /// A long-lived pool (e.g. [`WorkerPool`]) already provides the
 /// machine-wide fan-out; letting each of its workers fan out *again*
-/// through the kernel-level `par_map`s would oversubscribe the machine
-/// with `workers²` threads. [`par_map`] protects nested calls within
-/// one thread tree via a thread-local, but pool workers are fresh
-/// threads that inherit nothing — they opt in with this call instead.
+/// through a job's own `par_map`s (a served sweep's points) would
+/// oversubscribe the machine with `workers²` threads. [`par_map`]
+/// protects nested calls within one thread tree via a thread-local, but
+/// pool workers are fresh threads that inherit nothing — they opt in
+/// with this call instead.
 pub fn dedicate_thread() {
     IN_PARALLEL_REGION.with(|c| c.set(true));
 }
@@ -226,11 +204,10 @@ impl WorkerPool {
 ///
 /// Resolved **once per process** and cached: both the env lookup and
 /// `available_parallelism` (which re-parses cgroup limits on Linux —
-/// ~10µs per call on containerized hosts) are far too slow for the
-/// synthesis kernel, which consults [`would_parallelize`] every
-/// iteration. Set `PCHLS_THREADS` before the first parallel call;
+/// ~10µs per call on containerized hosts) are too slow to repeat on
+/// every fan-out. Set `PCHLS_THREADS` before the first parallel call;
 /// later changes are ignored. In-process A/B switching uses
-/// [`with_serial`] / [`with_thread_count`], not the environment.
+/// [`with_thread_count`], not the environment.
 #[must_use]
 pub fn thread_count() -> usize {
     static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
@@ -369,7 +346,7 @@ mod tests {
             WorkerPool::spawn(3, move |worker| {
                 ran.fetch_add(1, Ordering::SeqCst);
                 // Inside a dedicated worker, par_map must not fan out.
-                if would_parallelize(1000) {
+                if !IN_PARALLEL_REGION.with(Cell::get) {
                     nested.fetch_add(1, Ordering::SeqCst);
                 }
                 let items: Vec<usize> = (0..100).collect();
@@ -429,7 +406,6 @@ mod tests {
             // Nested scopes tighten and restore independently.
             with_thread_count(1, || {
                 assert_eq!(effective_thread_count(), 1);
-                assert!(!would_parallelize(1000), "cap 1 must read as serial");
             });
             assert_eq!(THREAD_CAP.with(Cell::get), 2);
         });
@@ -449,13 +425,5 @@ mod tests {
             let out = with_thread_count(cap, || par_map(&items, |&x| x.wrapping_mul(x) ^ 17));
             assert_eq!(out, reference, "cap {cap}");
         }
-    }
-
-    #[test]
-    fn with_serial_forces_serial_and_restores() {
-        let items: Vec<usize> = (0..32).collect();
-        let serial = with_serial(|| par_map(&items, |&x| x + 1));
-        let parallel = par_map(&items, |&x| x + 1);
-        assert_eq!(serial, parallel);
     }
 }

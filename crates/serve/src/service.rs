@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use pchls_cdfg::{benchmarks, diff, graph_fingerprint, parse_cdfg, Cdfg};
 use pchls_core::{
-    CompiledGraph, Engine, SynthesisConstraints, SynthesisError, SynthesisMemo, SynthesisOptions,
+    Engine, SynthesisConstraints, SynthesisError, SynthesisMemo, SynthesisOptions,
     SynthesisRequest, SynthesisResult,
 };
 use pchls_obs::{Arg, Counter, MetricsRegistry};
@@ -205,12 +205,11 @@ const PATCH_CONE_DIVISOR: usize = 8;
 
 /// One recorded cold run a shard retains as a patch seed: a later
 /// result-tier miss whose graph diffs against `graph` at a small cone,
-/// under the same constraint point, is answered by delta compile +
-/// incremental replay instead of cold synthesis.
+/// under the same constraint point, is answered by a compile of the
+/// edited graph + incremental replay instead of cold synthesis.
 struct ReplaySeed {
     constraints: SynthesisConstraints,
     graph: Cdfg,
-    compiled: Arc<CompiledGraph>,
     memo: SynthesisMemo,
 }
 
@@ -795,8 +794,8 @@ impl Shared {
 
         // Near miss: no cached result for this exact graph, but a
         // sibling recorded under the same constraint point may be one
-        // small edit away — answer by delta compile + incremental
-        // replay when it is.
+        // small edit away — answer by compile + incremental replay when
+        // it is.
         if let Some(answer) = self.try_patch(shard, job, &constraints, graph.as_ref(), key) {
             return answer;
         }
@@ -852,7 +851,6 @@ impl Shared {
                         ReplaySeed {
                             constraints: constraints.clone(),
                             graph: graph.as_ref().clone(),
-                            compiled: Arc::clone(&compiled),
                             memo,
                         },
                     );
@@ -879,11 +877,12 @@ impl Shared {
 
     /// The near-miss patch path: a result-tier miss whose graph is a
     /// small edit away from a recorded sibling under the same
-    /// constraint point is answered by [`Engine::recompile_with_delta`]
-    /// plus an incremental replay instead of a cold compile + synthesis
-    /// — byte-identical output (the incremental kernel's differential
-    /// guarantee) at a fraction of the work. Returns `None` when no
-    /// seed applies; the caller falls through to the cold path.
+    /// constraint point is answered by [`Engine::try_compile`] of the
+    /// edited graph plus an incremental replay instead of a cold
+    /// synthesis — byte-identical output (the incremental kernel's
+    /// differential guarantee) at a fraction of the work. The compile
+    /// bypasses the shard's compile cache. Returns `None` when no seed
+    /// applies; the caller falls through to the cold path.
     fn try_patch(
         &self,
         shard: &Shard,
@@ -924,10 +923,7 @@ impl Shared {
             return None;
         };
         let cone = delta.cone_size();
-        let compiled = match self
-            .engine
-            .recompile_with_delta(&seed.compiled, graph, &delta)
-        {
+        let compiled = match self.engine.try_compile(graph) {
             Ok(c) => c,
             Err(_) => {
                 self.patch_fallbacks.inc();
@@ -940,7 +936,7 @@ impl Shared {
                 // Either arm answered with the cold path's exact bytes:
                 // an incremental replay by the kernel's differential
                 // guarantee, an internal fallback by actually running
-                // the cold kernel over the recompiled graph.
+                // the cold kernel over the compiled graph.
                 if re.incremental {
                     self.patched.inc();
                 } else {

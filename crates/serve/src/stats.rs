@@ -121,7 +121,7 @@ pub struct ServiceStats {
     #[serde(default)]
     pub seed_entries: usize,
     /// Result-tier misses answered by patching a recorded sibling run
-    /// (delta compile + incremental replay) instead of cold synthesis.
+    /// (compile + incremental replay) instead of cold synthesis.
     #[serde(default)]
     pub patched: u64,
     /// Near-miss probes that found a constraint-matching sibling but

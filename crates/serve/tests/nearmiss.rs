@@ -1,6 +1,6 @@
 //! End-to-end near-miss patching over TCP: a base inline graph primes a
 //! replay seed, the one-edit sibling is answered by the patched path
-//! (delta compile + incremental replay, no cold synthesis), and the
+//! (compile + incremental replay, no cold synthesis), and the
 //! served point byte-diffs clean against a cold direct synthesis — the
 //! wire-level twin of the in-process `service` tests.
 

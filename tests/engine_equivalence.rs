@@ -1,19 +1,26 @@
-//! API-equivalence guarantees of the session redesign: the deprecated
-//! free functions and the `Engine`/`Session` path must produce
-//! **identical** designs — and identical `figure2.json` bytes — on all
-//! paper benchmarks, and `Session::batch` must match one-at-a-time
-//! synthesis on arbitrary request lists.
-
-#![allow(deprecated)]
+//! API-equivalence guarantees of the session API: a shared `Engine`
+//! must produce **identical** designs — and identical `figure2.json`
+//! bytes — to the "shim path" of a fresh `Engine` and compile per call
+//! (what one-shot callers pay), on all paper benchmarks, and
+//! `Session::batch` must match one-at-a-time synthesis on arbitrary
+//! request lists.
 
 use proptest::prelude::*;
 
-use pchls::cdfg::benchmarks;
+use pchls::cdfg::{benchmarks, Cdfg};
 use pchls::core::{
-    power_sweep, sweep_many, synthesize, synthesize_portfolio, synthesize_refined, Engine,
-    SweepRequest, SweepSpec, SynthesisConstraints, SynthesisOptions, SynthesisRequest,
+    Engine, Session, SweepJob, SweepResult, SweepSpec, SynthesisConstraints, SynthesisOptions,
+    SynthesisRequest,
 };
 use pchls::fulib::paper_library;
+
+/// Runs `f` on a session over a fresh engine and a fresh compile of
+/// `g`: the one-shot shim path the shared engine is compared against.
+fn fresh<R>(g: &Cdfg, f: impl FnOnce(&Session<'_>) -> R) -> R {
+    let engine = Engine::new(paper_library());
+    let compiled = engine.compile(g);
+    f(&engine.session(&compiled))
+}
 
 /// The Figure 2 curves, `(graph, T)`, in legend order.
 fn figure2_curves() -> Vec<(pchls::cdfg::Cdfg, u32)> {
@@ -43,7 +50,7 @@ fn shim_and_session_designs_are_identical_on_paper_benchmarks() {
         let session = engine.session(&compiled);
         for (t, p) in [(10u32, 40.0), (17, 25.0), (22, 12.0), (30, 60.0)] {
             let c = SynthesisConstraints::new(t, p);
-            let old = synthesize(&g, &lib, c.clone(), &opts);
+            let old = fresh(&g, |s| s.synthesize(c.clone(), &opts));
             let new = session.synthesize(c, &opts);
             match (old, new) {
                 (Ok(a), Ok(b)) => {
@@ -72,13 +79,13 @@ fn shim_and_session_refined_and_portfolio_are_identical() {
         let session = engine.session(&compiled);
         let c = SynthesisConstraints::new(25, 40.0);
         assert_eq!(
-            synthesize_refined(&g, &lib, c.clone(), &opts).ok(),
+            fresh(&g, |s| s.synthesize_refined(c.clone(), &opts)).ok(),
             session.synthesize_refined(c.clone(), &opts).ok(),
             "{} refined",
             g.name()
         );
         assert_eq!(
-            synthesize_portfolio(&g, &lib, c.clone(), &opts).ok(),
+            fresh(&g, |s| s.synthesize_portfolio(c.clone(), &opts)).ok(),
             session.synthesize_portfolio(c, &opts).ok(),
             "{} portfolio",
             g.name()
@@ -99,7 +106,10 @@ fn figure2_json_bytes_are_identical_between_shim_and_session_paths() {
     let mut old_points = Vec::new();
     let mut new_points = Vec::new();
     for (g, t) in figure2_curves() {
-        old_points.extend(power_sweep(&g, &lib, t, &grid, &opts));
+        old_points.extend(fresh(&g, |s| {
+            s.sweep(&SweepSpec::power(t, grid.clone()), &opts)
+                .into_points()
+        }));
         let compiled = engine.compile(&g);
         new_points.extend(
             engine
@@ -114,17 +124,23 @@ fn figure2_json_bytes_are_identical_between_shim_and_session_paths() {
 
     // The whole-figure fan-outs agree too.
     let curves = figure2_curves();
-    let requests: Vec<SweepRequest<'_>> = curves
+    let batch_engine = Engine::new(lib.clone());
+    let compiled: Vec<_> = curves
         .iter()
-        .map(|(g, t)| SweepRequest {
-            graph: g,
-            latency: *t,
-            powers: &grid,
+        .map(|(g, _)| batch_engine.compile(g))
+        .collect();
+    let jobs: Vec<SweepJob<'_>> = curves
+        .iter()
+        .zip(&compiled)
+        .map(|((_, t), compiled)| SweepJob {
+            compiled,
+            spec: SweepSpec::power(*t, grid.clone()),
         })
         .collect();
-    let many: Vec<_> = sweep_many(&requests, &lib, &opts)
+    let many: Vec<_> = batch_engine
+        .sweep_batch(&jobs, &opts)
         .into_iter()
-        .flatten()
+        .flat_map(SweepResult::into_points)
         .collect();
     let many_json = serde_json::to_vec(&many).unwrap();
     assert_eq!(many_json, new_json, "sweep_many bytes diverged");
@@ -158,7 +174,7 @@ proptest! {
             let c = SynthesisConstraints::new(t, p);
             prop_assert_eq!(r.request.constraints.clone(), c.clone());
             let single = session.synthesize(c.clone(), &opts);
-            let old = synthesize(&g, &lib, c.clone(), &opts);
+            let old = fresh(&g, |s| s.synthesize(c.clone(), &opts));
             match (&r.outcome, single, old) {
                 (Ok(b), Ok(s), Ok(o)) => {
                     prop_assert_eq!(b, &s, "batch vs single at T={} P={}", t, p);

@@ -9,6 +9,13 @@
 //! dedicated hit worker ([`LaneQueues::pop_hit`]) keeps the hit lane
 //! moving even while every synth worker is busy.
 //!
+//! On the TCP front end, hits whose record sits in the shard's memory
+//! tier never enter a lane: the reactor answers them inline. The hit
+//! lane there carries store-only hits (a tier-2 read takes the store
+//! lock, which the reactor never waits on) and the rare hit inserted
+//! between the reactor's memory probe and its classification.
+//! In-process `submit`/`try_submit` callers still queue every hit.
+//!
 //! Admission uses [`LaneQueues::try_push`] — a full lane refuses
 //! immediately (the caller sheds with a well-formed `overloaded`
 //! error) — while in-process callers keep the blocking

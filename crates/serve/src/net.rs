@@ -6,10 +6,14 @@
 //! a single [`pchls_net::Reactor`] thread: nonblocking sockets,
 //! level-triggered readiness, capped [`LineCodec`] framing per
 //! connection, and a timer wheel arming each request's `deadline_ms`.
-//! Synthesis happens on the service's sharded worker pools; finished
-//! responses come back over a completion channel paired with the
-//! reactor's waker, so the I/O thread sleeps in `poll` until there is
-//! something to do.
+//! A request whose point sits in its shard's in-memory result tier is
+//! answered on the reactor thread itself. Everything else — synthesis
+//! and store reads — happens on the service's sharded worker pools;
+//! finished responses come back over a completion channel paired with
+//! the reactor's waker, so the I/O thread sleeps in `poll` until there
+//! is something to do. Sockets run with Nagle off (`TCP_NODELAY`), and
+//! each tick flushes every touched connection once, after all of the
+//! tick's reads and completions are queued.
 //!
 //! The front end is the admission layer:
 //!
@@ -47,7 +51,7 @@ use pchls_net::{Backend, Interest, LineCodec, Reactor, TimerId, Token, Waker, Wr
 
 use crate::admission::TokenBucket;
 use crate::protocol::{SubmitRequest, SubmitResponse};
-use crate::service::{ReplySink, Service, SubmitOutcome};
+use crate::service::{Inline, ReplySink, Service, SubmitOutcome};
 use crate::stats::render_serve_stats;
 
 /// The reactor token of the TCP listener; connections use `slot + 1`.
@@ -158,6 +162,9 @@ struct Server<'a> {
     timer_keys: HashMap<usize, (u64, u64)>,
     next_conn_id: u64,
     next_timer_key: usize,
+    /// Slots whose output changed this tick, flushed once each at the
+    /// tick's end (with Nagle off every `write` is its own segment).
+    dirty: Vec<usize>,
 }
 
 impl<'a> Server<'a> {
@@ -176,6 +183,7 @@ impl<'a> Server<'a> {
             timer_keys: HashMap::new(),
             next_conn_id: 0,
             next_timer_key: 0,
+            dirty: Vec::new(),
         })
     }
 
@@ -196,7 +204,9 @@ impl<'a> Server<'a> {
     }
 
     fn add_conn(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
+        // Nagle off: a reply is one write per tick, and holding it back
+        // for the peer's delayed ACK would cost a whole request gap.
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             return; // connection died before its first byte
         }
         let slot = match self.conns.iter().position(Option::is_none) {
@@ -240,14 +250,11 @@ impl<'a> Server<'a> {
         let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) else {
             return; // spurious event for an already-dropped connection
         };
-        let mut alive = !error;
-        if alive && readable {
-            alive = self.read_ready(&mut conn);
-        }
-        // Writable readiness and freshly queued responses share one
-        // flush path.
+        let alive = !error && (!readable || self.read_ready(&mut conn));
+        // Writable readiness and freshly queued responses share the
+        // end-of-tick flush.
         if alive && (writable || !conn.out.is_empty()) {
-            alive = self.flush_and_update(&mut conn);
+            self.dirty.push(slot);
         }
         self.settle(slot, conn, alive);
     }
@@ -342,6 +349,15 @@ impl<'a> Server<'a> {
         }
         let id = request.id;
         let deadline_ms = request.deadline_ms;
+        // A point already in the shard's memory tier is answered right
+        // here, straight onto the output buffer.
+        let routed = match self.service.answer_inline(request) {
+            Inline::Answered(response) => {
+                conn.queue_response(&response);
+                return;
+            }
+            Inline::Queue(routed) => routed,
+        };
         let sink = ReplySink::Conn {
             conn: conn.conn_id,
             tx: self.done_tx.clone(),
@@ -349,9 +365,9 @@ impl<'a> Server<'a> {
         };
         // Whatever happens next, exactly one response rides the
         // completion channel (accepted jobs reply from a worker;
-        // refusals were answered inside `submit_sink`).
+        // refusals were answered inside `enqueue`).
         conn.in_flight += 1;
-        if let SubmitOutcome::Accepted(cancel) = self.service.submit_sink(request, sink) {
+        if let SubmitOutcome::Accepted(cancel) = self.service.enqueue(routed, sink) {
             conn.cancels.insert(id, Arc::clone(&cancel));
             if deadline_ms > 0 {
                 // The service's progress hook enforces the deadline
@@ -386,14 +402,15 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Delivers every finished response waiting on the completion
-    /// channel to its connection's output buffer.
+    /// Queues every finished response waiting on the completion channel
+    /// on its connection's output buffer; the end-of-tick flush sends
+    /// them, one write per connection however many landed.
     fn deliver_completions(&mut self) {
         while let Ok((conn_id, response)) = self.done_rx.try_recv() {
             let Some(&slot) = self.by_id.get(&conn_id) else {
                 continue; // connection dropped before its reply landed
             };
-            let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) else {
+            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                 continue;
             };
             conn.in_flight = conn.in_flight.saturating_sub(1);
@@ -404,6 +421,21 @@ impl<'a> Server<'a> {
                 }
             }
             conn.queue_response(&response);
+            self.dirty.push(slot);
+        }
+    }
+
+    /// Flushes every connection touched this tick, once each.
+    fn flush_dirty(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for slot in dirty {
+            // A slot retired (or even reused) since it was marked just
+            // flushes whatever it holds now.
+            let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) else {
+                continue;
+            };
             let alive = self.flush_and_update(&mut conn);
             self.settle(slot, conn, alive);
         }
@@ -534,6 +566,7 @@ pub fn serve_tcp_with(
                 server.conn_event(ev.token.0 - 1, ev.readable, ev.writable, ev.error);
             }
         }
+        server.flush_dirty();
     }
     shutdown.detach();
     server.reactor.deregister(listener.as_raw_fd());
@@ -898,6 +931,48 @@ mod tests {
             // Stats ops are exempt from the synth bucket.
             let stats = tcp_exchange(&mut stream, r#"{"op":"stats","id":99}"#);
             assert_eq!(stats.stats.unwrap().rate_limited, 3);
+            shutdown.request_stop();
+            loop_thread.join().unwrap().unwrap();
+        });
+    }
+
+    #[test]
+    fn a_panicking_inline_answer_fails_one_request_and_the_reactor_serves_on() {
+        let service = service();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = ShutdownHandle::new();
+        let warm = r#"{"id":1,"graph":"hal","latency":17,"power":25}"#;
+        std::thread::scope(|scope| {
+            let loop_thread = scope.spawn(|| serve_tcp_with(&service, &listener, &shutdown));
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let cold = tcp_exchange(&mut stream, warm);
+            assert!(cold.ok, "{:?}", cold.error);
+            // The repeat is a memory hit, answered on the reactor — and
+            // made to panic there.
+            service.panic_next_inline();
+            let failed = tcp_exchange(
+                &mut stream,
+                r#"{"id":2,"graph":"hal","latency":17,"power":25}"#,
+            );
+            assert_eq!(failed.id, 2);
+            assert!(!failed.ok);
+            assert_eq!(failed.error.as_deref(), Some("internal error"));
+            // Same connection, same reactor: the next hit answers.
+            let again = tcp_exchange(
+                &mut stream,
+                r#"{"id":3,"graph":"hal","latency":17,"power":25}"#,
+            );
+            assert!(again.ok, "{:?}", again.error);
+            assert_eq!(again.point, cold.point);
+            let stats = tcp_exchange(&mut stream, r#"{"op":"stats","id":4}"#)
+                .stats
+                .unwrap();
+            assert_eq!((stats.requests, stats.completed, stats.failed), (3, 2, 1));
+            assert_eq!(
+                stats.hit_lane.count, 2,
+                "both inline answers were accounted"
+            );
             shutdown.request_stop();
             loop_thread.join().unwrap().unwrap();
         });

@@ -288,19 +288,31 @@ impl ResultTier {
         self.store.as_ref().is_some_and(|s| s.contains(key))
     }
 
+    /// Looks `key` up in memory only — never the store, so it never
+    /// waits on the store lock the write-behind appender holds. A hit
+    /// moves the hit counter and LRU state exactly like
+    /// [`lookup`](ResultTier::lookup); a miss moves nothing, so a
+    /// caller that falls back to `lookup` counts the miss once.
+    pub fn lookup_memory(&self, key: &StoreKey) -> Option<StoreRecord> {
+        let mut inner = self.inner.lock().expect("result cache lock");
+        let tick = inner.tick + 1;
+        let slot = inner.map.get_mut(key)?;
+        slot.last_used = tick;
+        let record = slot.record.clone();
+        inner.tick = tick;
+        inner.hits += 1;
+        Some(record)
+    }
+
     /// Looks `key` up in memory, then (on miss) in the store. A store
     /// hit is promoted into the memory tier.
     pub fn lookup(&self, key: &StoreKey) -> Option<StoreRecord> {
+        if let Some(record) = self.lookup_memory(key) {
+            return Some(record);
+        }
         {
             let mut inner = self.inner.lock().expect("result cache lock");
             inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(slot) = inner.map.get_mut(key) {
-                slot.last_used = tick;
-                let record = slot.record.clone();
-                inner.hits += 1;
-                return Some(record);
-            }
             inner.misses += 1;
         }
         let record = self.store.as_ref()?.lookup(key)?;
@@ -450,6 +462,30 @@ mod tests {
         assert!(mem.mean_eviction_age() > 0.0);
         assert!(mem.hit_rate() > 0.6 && mem.hit_rate() < 0.7);
         assert_eq!(store, StoreTierStats::default());
+    }
+
+    #[test]
+    fn memory_probe_counts_hits_and_leaves_misses_to_lookup() {
+        let dir = temp_dir("memory-probe");
+        {
+            let warm = ResultTier::open(4, Some(&dir)).unwrap();
+            warm.insert(record(1));
+        } // drop flushes record 1 to disk
+        let tier = ResultTier::open(4, Some(&dir)).unwrap();
+        tier.insert(record(2));
+        assert_eq!(tier.lookup_memory(&record(2).key), Some(record(2)));
+        // On disk only: the memory probe never reads the store.
+        assert_eq!(tier.lookup_memory(&record(1).key), None);
+        let (mem, disk) = tier.stats();
+        assert_eq!((mem.hits, mem.misses), (1, 0), "a probe miss moves nothing");
+        assert_eq!((disk.hits, disk.misses), (0, 0));
+        // The full lookup then counts the miss once and reads the store.
+        assert_eq!(tier.lookup(&record(1).key), Some(record(1)));
+        let (mem, disk) = tier.stats();
+        assert_eq!((mem.hits, mem.misses), (1, 1));
+        assert_eq!((disk.hits, disk.misses), (1, 0));
+        drop(tier);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

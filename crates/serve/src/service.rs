@@ -14,12 +14,26 @@
 //!
 //! # Lanes and admission
 //!
-//! At admission each request is classified: if the shard's result tier
-//! already holds the answer (memory or store index — a pure probe, no
-//! counters move) it rides the **hit lane**, otherwise the **synth
-//! lane**. Each shard runs one dedicated hit worker plus its share of
-//! synthesis workers; all workers drain hits first, so a queued
-//! rand200-sized synthesis job never delays a warm lookup behind it.
+//! Admission routes each request once: its graph is resolved (inline
+//! text parsed) and fingerprinted, its constraint point validated, and
+//! the result travels with the queued job — a worker never parses or
+//! fingerprints again. Then the request is classified: if the shard's
+//! result tier already holds the answer (memory or store index — a
+//! pure probe, no counters move) it rides the **hit lane**, otherwise
+//! the **synth lane**. Each shard runs one dedicated hit worker plus
+//! its share of synthesis workers; all workers drain hits first, so a
+//! queued rand200-sized synthesis job never delays a warm lookup
+//! behind it.
+//!
+//! The TCP reactor goes one step further: `Service::answer_inline`
+//! answers a request whose point sits in the shard's **memory** tier
+//! on the calling thread — no queue, no worker, no wake-up — under
+//! `catch_unwind`, so a panic there answers `internal error` instead of
+//! taking the reactor down. Store-only hits (tier 2 reads take the
+//! store lock the write-behind appender holds) and everything else are
+//! handed back routed, to be queued exactly as above. Worker jobs and
+//! inline answers pass through one accounting step, so counters,
+//! histograms and spans never depend on which thread answered.
 //!
 //! In-process callers use the blocking [`Service::submit`]
 //! (backpressure, never sheds). Network front ends use
@@ -173,9 +187,48 @@ pub(crate) struct FrontendLimits {
     pub stats_interval: u64,
 }
 
+/// A request's graph as admission resolved it.
+enum RequestGraph {
+    /// A built-in benchmark, by index into the service's prebuilt list.
+    Builtin(usize),
+    /// Inline `graph_text`, parsed once at admission.
+    Inline(Box<Cdfg>),
+}
+
+/// What admission resolved for a well-formed request: the constraint
+/// point, the graph, and the result key naming the outcome.
+struct Target {
+    constraints: SynthesisConstraints,
+    graph: RequestGraph,
+    key: StoreKey,
+}
+
+/// A request routed once at admission — shard, lane and the resolved
+/// [`Target`] (or the error it is answered with) — ready to queue.
+pub(crate) struct Routed {
+    request: SubmitRequest,
+    shard: usize,
+    lane: Lane,
+    target: Result<Target, String>,
+}
+
+/// What [`Service::answer_inline`] did with a request.
+// Unboxed by design: the value is matched immediately by the caller,
+// and boxing the common (answered) arm would add an allocation per hit.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Inline {
+    /// Answered on the calling thread from the shard's memory tier.
+    Answered(SubmitResponse),
+    /// Not in memory: routed, to be queued with [`Service::enqueue`].
+    Queue(Routed),
+}
+
 /// One queued synthesis job.
 pub(crate) struct Job {
     request: SubmitRequest,
+    /// Resolved at admission; the worker never parses or fingerprints
+    /// the graph again.
+    target: Result<Target, String>,
     cancel: Arc<AtomicBool>,
     reply: ReplySink,
     accepted: Instant,
@@ -240,14 +293,17 @@ struct Shared {
     latency: Arc<LatencyHistogram>,
     hit_latency: Arc<LatencyHistogram>,
     synth_latency: Arc<LatencyHistogram>,
-    /// The built-in graphs, constructed once so the per-request
-    /// named-graph lookup is a scan + clone-free borrow, not a rebuild
-    /// of the whole benchmark suite.
+    /// The built-in graphs, constructed once so a named request borrows
+    /// its graph instead of rebuilding the whole benchmark suite.
     builtin_graphs: Vec<Cdfg>,
-    /// Name → fingerprint for the built-ins, so routing a named request
-    /// costs one hash lookup instead of a fingerprint computation.
-    builtin_fingerprints: HashMap<String, u64>,
+    /// Name → (index into `builtin_graphs`, fingerprint), so routing a
+    /// named request costs one hash lookup instead of a fingerprint
+    /// computation.
+    builtin_index: HashMap<String, (usize, u64)>,
     limits: FrontendLimits,
+    /// Test-only fault injection: the next inline answer panics.
+    #[cfg(test)]
+    panic_next_inline: AtomicBool,
     workers: usize,
     requests: Counter,
     completed: Counter,
@@ -342,9 +398,10 @@ impl Service {
             })
             .collect();
         let builtin_graphs = benchmarks::all();
-        let builtin_fingerprints = builtin_graphs
+        let builtin_index = builtin_graphs
             .iter()
-            .map(|g| (g.name().to_string(), graph_fingerprint(g)))
+            .enumerate()
+            .map(|(i, g)| (g.name().to_string(), (i, graph_fingerprint(g))))
             .collect();
         let metrics = MetricsRegistry::new();
         let shared = Arc::new(Shared {
@@ -356,13 +413,15 @@ impl Service {
             hit_latency: metrics.histogram("pchls_lane_latency_seconds{lane=\"hit\"}"),
             synth_latency: metrics.histogram("pchls_lane_latency_seconds{lane=\"synth\"}"),
             builtin_graphs,
-            builtin_fingerprints,
+            builtin_index,
             limits: FrontendLimits {
                 rate_per_sec: config.rate_per_sec.max(0.0),
                 burst: config.burst,
                 max_line_bytes: config.max_line_bytes.max(1),
                 stats_interval: config.stats_interval,
             },
+            #[cfg(test)]
+            panic_next_inline: AtomicBool::new(false),
             // One hit worker per shard rides along with the synth pool.
             workers: synth_workers + shard_count,
             requests: metrics.counter("pchls_requests_total"),
@@ -421,15 +480,9 @@ impl Service {
         request: SubmitRequest,
         reply: Sender<SubmitResponse>,
     ) -> Result<Arc<AtomicBool>, SubmitRequest> {
-        let (shard, lane) = self.shared.route(&request);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let job = Job {
-            request,
-            cancel: Arc::clone(&cancel),
-            reply: ReplySink::Channel(reply),
-            accepted: Instant::now(),
-            lane,
-        };
+        let routed = self.shared.route(request);
+        let (shard, lane) = (routed.shard, routed.lane);
+        let (job, cancel) = Job::new(routed, ReplySink::Channel(reply));
         self.shared.shards[shard]
             .lanes
             .push(lane, job)
@@ -449,27 +502,68 @@ impl Service {
         request: SubmitRequest,
         reply: Sender<SubmitResponse>,
     ) -> SubmitOutcome {
-        self.submit_sink(request, ReplySink::Channel(reply))
+        self.enqueue(self.shared.route(request), ReplySink::Channel(reply))
     }
 
-    /// [`try_submit`](Service::try_submit) over any reply sink.
-    pub(crate) fn submit_sink(&self, request: SubmitRequest, sink: ReplySink) -> SubmitOutcome {
-        let (shard_idx, lane) = self.shared.route(&request);
-        let shard = &self.shared.shards[shard_idx];
+    /// The reactor's admission step: routes `request` once and, when the
+    /// shard's memory tier holds its point, answers it right here on
+    /// the calling thread — the same counters, histograms and span a
+    /// worker's answer moves, with no queue, sink or wake-up. A panic
+    /// while answering is contained: the request answers `internal
+    /// error` and counts as failed. Anything else — store-only hits
+    /// included, so the caller never waits on the store lock — comes
+    /// back routed for [`enqueue`](Service::enqueue).
+    pub(crate) fn answer_inline(&self, request: SubmitRequest) -> Inline {
+        let shared = &*self.shared;
+        let accepted = Instant::now();
+        let (shard, target) = shared.locate(&request);
+        let answer = match &target {
+            Ok(t) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                shared.answer_from_memory(&shared.shards[shard], request.id, t)
+            })),
+            Err(_) => Ok(None),
+        };
+        let (response, disposition) = match answer {
+            Ok(None) => {
+                let lane = shared.classify(shard, &target);
+                return Inline::Queue(Routed {
+                    request,
+                    shard,
+                    lane,
+                    target,
+                });
+            }
+            Ok(Some(response)) => (response, Disposition::Completed),
+            Err(_) => (
+                SubmitResponse::error(request.id, "internal error"),
+                Disposition::Failed,
+            ),
+        };
+        shared.requests.inc();
+        shared.account(shard, Lane::Hit, request.id, accepted, &disposition);
+        Inline::Answered(response)
+    }
+
+    /// Makes the next inline answer panic (fault injection for the
+    /// containment tests).
+    #[cfg(test)]
+    pub(crate) fn panic_next_inline(&self) {
+        self.shared.panic_next_inline.store(true, Ordering::Relaxed);
+    }
+
+    /// Queues a routed request without blocking. Refused requests
+    /// (shard past its admission bound, or shutdown) are answered on
+    /// `sink` before this returns.
+    pub(crate) fn enqueue(&self, routed: Routed, sink: ReplySink) -> SubmitOutcome {
+        let shard = &self.shared.shards[routed.shard];
+        let lane = routed.lane;
         if lane == Lane::Synth && shard.lanes.depth(Lane::Synth) >= shard.shed_depth {
             self.shared.shed.inc();
-            pchls_obs::event!("serve.shed", "id" => request.id);
-            sink.send(SubmitResponse::error(request.id, "overloaded"));
+            pchls_obs::event!("serve.shed", "id" => routed.request.id);
+            sink.send(SubmitResponse::error(routed.request.id, "overloaded"));
             return SubmitOutcome::Overloaded;
         }
-        let cancel = Arc::new(AtomicBool::new(false));
-        let job = Job {
-            request,
-            cancel: Arc::clone(&cancel),
-            reply: sink,
-            accepted: Instant::now(),
-            lane,
-        };
+        let (job, cancel) = Job::new(routed, sink);
         match shard.lanes.try_push(lane, job) {
             Ok(()) => {
                 self.shared.requests.inc();
@@ -673,51 +767,123 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-impl Shared {
-    /// Shard + lane for a request. The shard is the graph fingerprint
-    /// modulo the shard count (inline `graph_text` is parsed here so
-    /// structurally identical text and named requests land on the same
-    /// shard and share cache entries); requests whose answer already
-    /// sits in that shard's result tier ride the hit lane. The
-    /// classification is best-effort — an entry evicted between
-    /// admission and processing just makes one hit-lane job do real
-    /// work.
-    fn route(&self, req: &SubmitRequest) -> (usize, Lane) {
-        let n = self.shards.len() as u64;
-        let fingerprint = if req.graph_text.is_empty() {
-            self.builtin_fingerprints.get(&req.graph).copied()
-        } else {
-            parse_cdfg(&req.graph_text)
-                .ok()
-                .map(|g| graph_fingerprint(&g))
+impl Job {
+    /// A job for `routed`, answering on `reply`; also returns the job's
+    /// cancellation flag.
+    fn new(routed: Routed, reply: ReplySink) -> (Job, Arc<AtomicBool>) {
+        let cancel = Arc::new(AtomicBool::new(false));
+        let job = Job {
+            request: routed.request,
+            target: routed.target,
+            cancel: Arc::clone(&cancel),
+            reply,
+            accepted: Instant::now(),
+            lane: routed.lane,
         };
-        let Some(fingerprint) = fingerprint else {
+        (job, cancel)
+    }
+}
+
+impl Shared {
+    /// Shard + lane + resolved target for a request (see
+    /// [`locate`](Shared::locate) and [`classify`](Shared::classify)).
+    fn route(&self, request: SubmitRequest) -> Routed {
+        let (shard, target) = self.locate(&request);
+        let lane = self.classify(shard, &target);
+        Routed {
+            request,
+            shard,
+            lane,
+            target,
+        }
+    }
+
+    /// Resolves a request once: its graph (inline `graph_text` is
+    /// parsed here, so structurally identical text and named requests
+    /// land on the same shard and share cache entries), fingerprint,
+    /// constraint point and result key. The shard is the fingerprint
+    /// modulo the shard count. A malformed request carries the error
+    /// it is answered with; a bad constraint point takes precedence
+    /// over a bad graph.
+    fn locate(&self, req: &SubmitRequest) -> (usize, Result<Target, String>) {
+        let n = self.shards.len() as u64;
+        let graph = self.resolve_graph(req);
+        let shard = match &graph {
+            Ok((_, fingerprint)) => fingerprint % n,
             // Unknown graph or unparseable text: fails fast in the
             // worker; any stable shard will do.
-            let bytes = if req.graph_text.is_empty() {
-                req.graph.as_bytes()
-            } else {
-                req.graph_text.as_bytes()
-            };
-            return ((fnv1a(bytes) % n) as usize, Lane::Synth);
-        };
-        let shard = (fingerprint % n) as usize;
-        let lane = match validated_constraints(req) {
-            Ok(constraints)
-                if self.shards[shard]
-                    .results
-                    .contains(&StoreKey::new(fingerprint, &constraints)) =>
-            {
-                Lane::Hit
-            }
+            Err(_) if req.graph_text.is_empty() => fnv1a(req.graph.as_bytes()) % n,
+            Err(_) => fnv1a(req.graph_text.as_bytes()) % n,
+        } as usize;
+        let target = validated_constraints(req).and_then(|constraints| {
+            let (graph, fingerprint) = graph?;
+            Ok(Target {
+                key: StoreKey::new(fingerprint, &constraints),
+                constraints,
+                graph,
+            })
+        });
+        (shard, target)
+    }
+
+    /// The lane of a located request: the hit lane when the shard's
+    /// result tier already holds its key. The classification is
+    /// best-effort — an entry evicted between admission and processing
+    /// just makes one hit-lane job do real work.
+    fn classify(&self, shard: usize, target: &Result<Target, String>) -> Lane {
+        match target {
+            Ok(t) if self.shards[shard].results.contains(&t.key) => Lane::Hit,
             _ => Lane::Synth,
-        };
-        (shard, lane)
+        }
+    }
+
+    /// The reply to `target` if the shard's memory tier holds it;
+    /// `None` moves no counters.
+    fn answer_from_memory(
+        &self,
+        shard: &Shard,
+        id: u64,
+        target: &Target,
+    ) -> Option<SubmitResponse> {
+        let record = shard.results.lookup_memory(&target.key)?;
+        #[cfg(test)]
+        if self.panic_next_inline.swap(false, Ordering::Relaxed) {
+            panic!("injected panic in an inline answer");
+        }
+        Some(self.hit_response(id, &record, target))
+    }
+
+    /// A result-tier record answered as a reply. Determinism makes the
+    /// reconstruction byte-identical to a fresh `Session::synthesize`
+    /// for this graph name.
+    fn hit_response(&self, id: u64, record: &StoreRecord, target: &Target) -> SubmitResponse {
+        SubmitResponse::point(id, record.to_point(self.graph(&target.graph).name()))
     }
 
     /// Processes one job on a worker thread and sends the reply.
     fn process(&self, shard_idx: usize, job: Job) {
         let (response, disposition) = self.respond(&self.shards[shard_idx], &job);
+        self.account(
+            shard_idx,
+            job.lane,
+            job.request.id,
+            job.accepted,
+            &disposition,
+        );
+        job.reply.send(response);
+    }
+
+    /// The one bookkeeping step of every answered request, whichever
+    /// thread answered it: the disposition counter, the global and
+    /// per-lane latency histograms, and the `serve.request` span.
+    fn account(
+        &self,
+        shard: usize,
+        lane: Lane,
+        id: u64,
+        accepted: Instant,
+        disposition: &Disposition,
+    ) {
         match disposition {
             Disposition::Completed => &self.completed,
             Disposition::Failed => &self.failed,
@@ -725,9 +891,9 @@ impl Shared {
         }
         .inc();
         let done = Instant::now();
-        let elapsed = done - job.accepted;
+        let elapsed = done - accepted;
         self.latency.record(elapsed);
-        match job.lane {
+        match lane {
             Lane::Hit => &self.hit_latency,
             Lane::Synth => &self.synth_latency,
         }
@@ -737,14 +903,14 @@ impl Shared {
             // here — explicit timestamps rather than a scope guard.
             pchls_obs::record_span(
                 "serve.request",
-                job.accepted,
+                accepted,
                 done,
                 &[
-                    ("id", Arg::U64(job.request.id)),
-                    ("shard", Arg::U64(shard_idx as u64)),
+                    ("id", Arg::U64(id)),
+                    ("shard", Arg::U64(shard as u64)),
                     (
                         "lane",
-                        Arg::Str(match job.lane {
+                        Arg::Str(match lane {
                             Lane::Hit => "hit",
                             Lane::Synth => "synth",
                         }),
@@ -760,53 +926,52 @@ impl Shared {
                 ],
             );
         }
-        job.reply.send(response);
     }
 
     fn respond(&self, shard: &Shard, job: &Job) -> (SubmitResponse, Disposition) {
         let req = &job.request;
-        let fail = |msg: String| (SubmitResponse::error(req.id, msg), Disposition::Failed);
-
-        // Validate the constraint point up front — the constraints
-        // constructor panics on nonsense, a worker must not.
-        let constraints = match validated_constraints(req) {
-            Ok(c) => c,
-            Err(msg) => return fail(msg),
+        // Malformed requests (bad constraint point, unknown or
+        // unparseable graph) were diagnosed at admission.
+        let target = match &job.target {
+            Ok(t) => t,
+            Err(msg) => return (SubmitResponse::error(req.id, msg), Disposition::Failed),
         };
-        let graph = match self.resolve_graph(req) {
-            Ok(g) => g,
-            Err(msg) => return fail(msg),
-        };
+        let constraints = &target.constraints;
+        let graph = self.graph(&target.graph);
+        let key = target.key;
 
-        // Content-address the *result* before compiling anything: the
+        // The result is content-addressed before anything compiles: the
         // fingerprint and budget digest name the outcome, so a cached
         // point answers with zero synthesis work — and on the
         // store-backed path, with zero compile work even after a
         // restart.
-        let fingerprint = graph_fingerprint(graph.as_ref());
-        let key = StoreKey::new(fingerprint, &constraints);
         if let Some(record) = shard.results.lookup(&key) {
-            // Determinism makes the reconstruction byte-identical to a
-            // fresh `Session::synthesize` for this graph name.
-            let point = record.to_point(graph.name());
-            return (SubmitResponse::point(req.id, point), Disposition::Completed);
+            return (
+                self.hit_response(req.id, &record, target),
+                Disposition::Completed,
+            );
         }
 
         // Near miss: no cached result for this exact graph, but a
         // sibling recorded under the same constraint point may be one
         // small edit away — answer by compile + incremental replay when
         // it is.
-        if let Some(answer) = self.try_patch(shard, job, &constraints, graph.as_ref(), key) {
+        if let Some(answer) = self.try_patch(shard, job, constraints, graph, key) {
             return answer;
         }
 
         let compiled = match shard
             .cache
-            .get_or_compile_keyed(&self.engine, fingerprint, graph.as_ref())
+            .get_or_compile_keyed(&self.engine, key.fingerprint, graph)
             .0
         {
             Ok(c) => c,
-            Err(e) => return fail(format!("compile failed: {e}")),
+            Err(e) => {
+                return (
+                    SubmitResponse::error(req.id, format!("compile failed: {e}")),
+                    Disposition::Failed,
+                )
+            }
         };
 
         let deadline =
@@ -850,7 +1015,7 @@ impl Shared {
                         shard,
                         ReplaySeed {
                             constraints: constraints.clone(),
-                            graph: graph.as_ref().clone(),
+                            graph: graph.clone(),
                             memo,
                         },
                     );
@@ -860,7 +1025,7 @@ impl Shared {
                     .map(|d| pchls_store::trace_bytes(&d.schedule))
                     .unwrap_or_default();
                 let point = SynthesisResult {
-                    request: SynthesisRequest::new(constraints).with_options(self.options),
+                    request: SynthesisRequest::new(constraints.clone()).with_options(self.options),
                     outcome,
                 }
                 .to_point(compiled.name());
@@ -982,24 +1147,32 @@ impl Shared {
         }
     }
 
-    /// Materializes the request's graph: inline text first, then the
-    /// built-in benchmark namespace. Named graphs borrow from the
-    /// service's prebuilt list — nothing is constructed on the hot
-    /// path; only inline text allocates.
-    fn resolve_graph(&self, req: &SubmitRequest) -> Result<std::borrow::Cow<'_, Cdfg>, String> {
+    /// Resolves the request's graph and its fingerprint: inline text
+    /// first (parsed and fingerprinted — the only allocating case),
+    /// then the built-in benchmark namespace (a borrow of the prebuilt
+    /// list and its precomputed fingerprint).
+    fn resolve_graph(&self, req: &SubmitRequest) -> Result<(RequestGraph, u64), String> {
         if !req.graph_text.is_empty() {
-            return parse_cdfg(&req.graph_text)
-                .map(std::borrow::Cow::Owned)
-                .map_err(|e| format!("parsing graph_text: {e}"));
+            let graph =
+                parse_cdfg(&req.graph_text).map_err(|e| format!("parsing graph_text: {e}"))?;
+            let fingerprint = graph_fingerprint(&graph);
+            return Ok((RequestGraph::Inline(Box::new(graph)), fingerprint));
         }
         if req.graph.is_empty() {
             return Err("request names no graph (set `graph` or `graph_text`)".into());
         }
-        self.builtin_graphs
-            .iter()
-            .find(|g| g.name() == req.graph)
-            .map(std::borrow::Cow::Borrowed)
+        self.builtin_index
+            .get(&req.graph)
+            .map(|&(index, fingerprint)| (RequestGraph::Builtin(index), fingerprint))
             .ok_or_else(|| format!("unknown graph `{}`", req.graph))
+    }
+
+    /// The graph a resolved request names.
+    fn graph<'a>(&'a self, graph: &'a RequestGraph) -> &'a Cdfg {
+        match graph {
+            RequestGraph::Builtin(index) => &self.builtin_graphs[*index],
+            RequestGraph::Inline(graph) => graph,
+        }
     }
 }
 

@@ -7,8 +7,9 @@
 //! depend on the point, so this module splits those costs by lifetime:
 //!
 //! * [`Engine::new`] owns the **per-library** artifacts — kind-bucketed
-//!   module candidate lists and the kind-compatibility matrix — computed
-//!   once for the library's lifetime.
+//!   module candidate lists and the kind-sharing matrix (the cheapest
+//!   module implementing both kinds of a pair; finite means compatible)
+//!   — computed once for the library's lifetime.
 //! * [`Engine::compile`] produces a [`CompiledGraph`] owning the
 //!   **per-graph** artifacts — the transitive-closure
 //!   [`Reachability`] bitsets (via the shared
@@ -62,9 +63,10 @@ use crate::refine::{portfolio_session, refined_session};
 use crate::replay::{ReplayState, SynthesisMemo};
 use crate::synthesis::{synthesize_session, synthesize_session_mode, KernelMode};
 
-/// Whether some library module implements both kinds, indexed by
-/// [`OpKind::index`] on both axes.
-pub(crate) type KindCompat = [[bool; OpKind::ALL.len()]; OpKind::ALL.len()];
+/// The area of the cheapest library module implementing both kinds,
+/// indexed by [`OpKind::index`] on both axes; infinite when no module
+/// does, so a finite entry means the kinds are compatible.
+pub(crate) type KindShare = [[f64; OpKind::ALL.len()]; OpKind::ALL.len()];
 
 /// The per-library half of the synthesis state: owns the immutable
 /// module library plus every index derived from it alone.
@@ -77,12 +79,12 @@ pub struct Engine {
     library: ModuleLibrary,
     /// Per-kind module candidate lists, indexed by [`OpKind::index`].
     kind_modules: Vec<Vec<ModuleId>>,
-    /// `kind_compat[a][b]`: some module implements both kinds.
-    kind_compat: KindCompat,
+    /// `kind_share[a][b]`: the cheapest module implementing both kinds.
+    kind_share: KindShare,
 }
 
 impl Engine {
-    /// Builds the per-library indexes (kind buckets, kind-compatibility
+    /// Builds the per-library indexes (kind buckets, kind-sharing
     /// matrix) and takes ownership of `library`.
     #[must_use]
     pub fn new(library: ModuleLibrary) -> Engine {
@@ -90,16 +92,21 @@ impl Engine {
             .iter()
             .map(|&k| library.candidates(k).collect())
             .collect();
-        let mut kind_compat = [[false; OpKind::ALL.len()]; OpKind::ALL.len()];
+        let mut kind_share = [[f64::INFINITY; OpKind::ALL.len()]; OpKind::ALL.len()];
         for (a, row) in kind_modules.iter().enumerate() {
             for (b, &kb) in OpKind::ALL.iter().enumerate() {
-                kind_compat[a][b] = row.iter().any(|&m| library.module(m).implements(kb));
+                kind_share[a][b] = row
+                    .iter()
+                    .map(|&m| library.module(m))
+                    .filter(|spec| spec.implements(kb))
+                    .map(|spec| f64::from(spec.area()))
+                    .fold(f64::INFINITY, f64::min);
             }
         }
         Engine {
             library,
             kind_modules,
-            kind_compat,
+            kind_share,
         }
     }
 
@@ -113,8 +120,8 @@ impl Engine {
         &self.kind_modules
     }
 
-    pub(crate) fn kind_compat(&self) -> &KindCompat {
-        &self.kind_compat
+    pub(crate) fn kind_share(&self) -> &KindShare {
+        &self.kind_share
     }
 
     /// Compiles `graph` into the per-graph artifacts every subsequent
@@ -160,7 +167,7 @@ impl Engine {
         for (j, node) in graph.nodes().iter().enumerate() {
             let kj = node.kind().index();
             for k in 0..OpKind::ALL.len() {
-                if self.kind_compat[k][kj] {
+                if self.kind_share[k][kj].is_finite() {
                     compat_masks[k * mask_words + j / 64] |= 1u64 << (j % 64);
                 }
             }

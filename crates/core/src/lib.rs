@@ -60,6 +60,8 @@ mod engine;
 mod error;
 mod explore;
 mod options;
+#[cfg(test)]
+mod oracle;
 mod refine;
 mod replay;
 mod synthesis;

@@ -33,7 +33,13 @@
 //!    is necessarily *in* the recorded top list, so truncating the
 //!    merged stream at that bound loses nothing — and when it might
 //!    (no commit before the bound), the kernel falls back to a full
-//!    cold enumeration of that iteration.
+//!    cold selection of that iteration. The cold kernel's bounded
+//!    selection never builds a candidate that cannot rank, so a
+//!    recorded iteration counts as [`MemoIter::complete`] only when
+//!    nothing was skipped and at most `MAX_ATTEMPTS` candidates were
+//!    built. A skipped candidate ranked below the worst kept entry when
+//!    it was skipped, hence below the recorded 64th: the truncation
+//!    bound holds for it too.
 
 use pchls_bind::{Binding, InstanceId};
 use pchls_cdfg::{iter_and_above, Cdfg, GraphDelta, NodeId, NodeSet, Reachability};
@@ -43,7 +49,8 @@ use pchls_sched::{LockedStarts, OpTiming, PowerLedger, Schedule, TimingMap};
 use crate::constraints::SynthesisConstraints;
 use crate::options::SynthesisOptions;
 use crate::synthesis::{
-    existing_decision, fresh_decision, pair_decision, Context, Decision, Target, MAX_ATTEMPTS,
+    existing_decision, fresh_decision, pair_decision, Context, Decision, Ranked, Target,
+    MAX_ATTEMPTS,
 };
 
 /// Replay target of one recorded candidate, with instance identity
@@ -63,7 +70,7 @@ pub(crate) enum RecTarget {
 /// Tie-break key mirroring the cold path's enumeration index: singles
 /// sort as `(0, op, module position, bucket position | MAX)` and pairs
 /// as `(1, min id, max id, module position)` — lexicographically
-/// order-isomorphic to the enumeration order of `enumerate_candidates`.
+/// order-isomorphic to the enumeration order of `select_candidates`.
 /// Recorded keys hold base ids; replay rebuilds them with edited ids
 /// (the delta mapping is id-monotone, so relative order is preserved).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -114,8 +121,8 @@ pub(crate) struct MemoIter {
     pub(crate) avoided: Vec<f64>,
     /// The attempted ranking, in order (at most `MAX_ATTEMPTS`).
     pub(crate) top: Vec<RecCand>,
-    /// Whether `top` covers *every* enumerated candidate (fewer than
-    /// the attempt cap existed).
+    /// Whether `top` covers *every* feasible candidate: the bounded
+    /// selection skipped nothing and built at most the attempt cap.
     pub(crate) complete: bool,
     /// The committed decision's op(s), base ids — `None` only in the
     /// never-pushed pending draft.
@@ -274,11 +281,12 @@ impl SynthesisMemo {
     }
 
     /// Record-mode hook: the attempted ranking, captured after the
-    /// top-k pass.
+    /// top-k pass, and whether it is the iteration's every candidate
+    /// ([`MemoIter::complete`]).
     pub(crate) fn record_top(
         &mut self,
-        order: &[u32],
-        candidates: &[Decision],
+        order: &[Ranked],
+        complete: bool,
         by_module: &[Vec<InstanceId>],
         kind_modules: &[Vec<ModuleId>],
         graph: &Cdfg,
@@ -296,8 +304,8 @@ impl SynthesisMemo {
         };
         p.top.clear();
         p.top.reserve(order.len());
-        for &i in order {
-            let d = &candidates[i as usize];
+        for r in order {
+            let d = &r.decision;
             let m_pos = modules_for(d.op)
                 .iter()
                 .position(|&m| m == d.module)
@@ -360,7 +368,7 @@ impl SynthesisMemo {
                 key,
             });
         }
-        p.complete = candidates.len() <= MAX_ATTEMPTS;
+        p.complete = complete;
     }
 
     /// Record-mode hook: the iteration committed; push it.
@@ -584,7 +592,7 @@ pub(crate) fn plan_gated_iteration(
                 rs.trusted[m.index()]
             };
             for (p, &iid) in ctx.by_module[m.index()].iter().enumerate().skip(from) {
-                if let Some(d) = existing_decision(ctx, u, m, iid) {
+                if let Some(d) = existing_decision(ctx, u, m, iid, |_, _| true) {
                     entries.push((
                         d,
                         CandKey {
@@ -625,13 +633,9 @@ pub(crate) fn plan_gated_iteration(
             if !fresh_needed {
                 continue;
             }
-            let (first, second) = if ctx.reach.reaches(v, u) {
-                (v, u)
-            } else {
-                (u, v)
-            };
+            let (first, second) = ctx.dependence_order(u, v);
             for (m_pos, &m) in ctx.modules_for(first).iter().enumerate() {
-                if let Some(d) = pair_decision(ctx, first, second, m) {
+                if let Some(d) = pair_decision(ctx, first, second, m, |_, _| true) {
                     entries.push((
                         d,
                         CandKey {
@@ -929,5 +933,74 @@ fn realize(ctx: &Context<'_>, rs: &ReplayState<'_>, rc: &RecCand) -> Option<(Dec
                 },
             ))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pchls_cdfg::{diff, random_dag, GraphEdit, NodeId, OpKind, RandomDagConfig};
+    use pchls_fulib::paper_library;
+
+    use crate::synthesis::MAX_ATTEMPTS;
+    use crate::{Engine, SynthesisConstraints, SynthesisOptions};
+
+    /// Iterations the bounded selection pruned record `complete ==
+    /// false`, so a replay trusts only entries strictly above their
+    /// recorded 64th — and replaying an edit against such a memo stays
+    /// byte-identical to a cold run of the edited graph.
+    #[test]
+    fn pruned_iterations_record_incomplete_and_replay_exactly() {
+        let engine = Engine::new(paper_library());
+        let base = random_dag(&RandomDagConfig {
+            ops: 60,
+            seed: 13,
+            ..RandomDagConfig::default()
+        });
+        let compiled = engine.compile(&base);
+        let session = engine.session(&compiled);
+        let constraints = SynthesisConstraints::new(compiled.min_latency() * 3 + 8, 1e6);
+        let options = SynthesisOptions::default();
+        let (design, memo) = session
+            .synthesize_recorded(constraints.clone(), &options)
+            .expect("loose constraints are feasible");
+        let (oracle_design, report) = session.synthesize_against_oracle(constraints, &options);
+        assert_eq!(oracle_design.expect("same feasibility"), design);
+
+        // Recording stops at the first backtrack, so the memo covers a
+        // prefix of the oracle's cold iterations.
+        assert!(memo.iters.len() <= report.iterations());
+        let mut pruned = 0;
+        for (i, it) in memo.iters.iter().enumerate() {
+            assert_eq!(it.complete, report.complete[i], "iteration {i}");
+            if report.skipped[i] > 0 {
+                assert!(!it.complete, "pruned iteration {i} recorded complete");
+                assert!(report.candidates[i] > MAX_ATTEMPTS);
+                pruned += 1;
+            }
+        }
+        assert!(pruned > 0, "no recorded iteration was pruned");
+
+        let mut edit = GraphEdit::new(&base);
+        edit.add_op(OpKind::Mul, &[NodeId::new(0), NodeId::new(1)])
+            .expect("inputs 0 and 1 produce values");
+        let edited = edit.finish().expect("valid edit");
+        let recompiled = engine.compile(&edited);
+        let session = engine.session(&recompiled);
+        let cold = session
+            .synthesize(memo.constraints().clone(), memo.options())
+            .expect("still feasible after one edit");
+        let re = session
+            .resynthesize(&memo, &diff(&base, &edited))
+            .expect("replay matches cold feasibility");
+        assert!(
+            re.incremental && re.gated_iterations > 0,
+            "replay went cold"
+        );
+        assert_eq!(re.design, cold);
+        assert_eq!(re.design.stats, cold.stats);
+        assert_eq!(
+            serde_json::to_string(&re.design).expect("serializes"),
+            serde_json::to_string(&cold).expect("serializes")
+        );
     }
 }

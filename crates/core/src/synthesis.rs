@@ -1,18 +1,19 @@
 //! The combined power-constrained scheduling/allocation/binding loop.
 
 use pchls_bind::{Binding, InstanceId};
-use pchls_cdfg::{iter_and_above, Cdfg, NodeId, NodeSet, Reachability};
+use pchls_cdfg::{iter_and_above, Cdfg, NodeId, NodeSet, OpKind, Reachability};
 use pchls_fulib::{ModuleId, ModuleLibrary};
 use pchls_sched::{
     palap_locked_budget, pasap_locked_budget, LockedStarts, OpTiming, PowerLedger, Schedule,
     ScheduleError, TimingMap,
 };
 
+use std::cmp::Ordering;
 use std::ops::ControlFlow;
 
 use crate::constraints::SynthesisConstraints;
 use crate::design::{SynthesisStats, SynthesizedDesign};
-use crate::engine::{CompiledGraph, Engine, KindCompat, Progress};
+use crate::engine::{CompiledGraph, Engine, KindShare, Progress};
 use crate::error::SynthesisError;
 use crate::options::SynthesisOptions;
 use crate::replay::{plan_gated_iteration, ReplayState, SynthesisMemo};
@@ -49,13 +50,16 @@ pub(crate) enum Target {
 /// additionally journal per-iteration observation state into a
 /// [`SynthesisMemo`], and `Replay` runs consult a memo plus a graph
 /// delta to skip candidate enumeration wherever the edit provably
-/// cannot have changed it. All three modes produce byte-identical
-/// designs and effort counters for the same `(graph, constraints,
-/// options)` input.
+/// cannot have changed it. Test builds add `Oracle`, which checks every
+/// iteration's bounded selection against the exhaustive one (see
+/// [`crate::oracle`]). All modes produce byte-identical designs and
+/// effort counters for the same `(graph, constraints, options)` input.
 pub(crate) enum KernelMode<'m, 'r> {
     Plain,
     Record(&'r mut SynthesisMemo),
     Replay(&'r mut ReplayState<'m>),
+    #[cfg(test)]
+    Oracle(&'r mut crate::oracle::OracleReport),
 }
 
 /// The combined loop over precompiled shared artifacts — the engine's
@@ -94,12 +98,12 @@ pub(crate) fn synthesize_session_mode(
     let graph = compiled.graph();
     let library = engine.library();
     let reach = compiled.reachability();
-    // Per-kind module candidate lists and the kind-compatibility matrix
-    // are owned by the engine — computed once per library, not per
-    // point. Incompatible kind pairs can never share a unit, so the
-    // O(n²) pair loop drops them with one table load.
+    // Per-kind module candidate lists and the kind-sharing matrix are
+    // owned by the engine — computed once per library, not per point.
+    // The matrix's cheapest shared module areas bound pair scores
+    // (`PairBound`).
     let kind_modules = engine.kind_modules();
-    let kind_compat = engine.kind_compat();
+    let kind_share = engine.kind_share();
     let n = graph.len();
     // Normalize the budget once: a value-constant envelope (however it
     // was spelled) becomes the scalar `Constant`, so the thousands of
@@ -241,7 +245,7 @@ pub(crate) fn synthesize_session_mode(
             ledger: &ledger,
             busy: &scratch.busy,
             by_module: &scratch.by_module,
-            kind_compat,
+            kind_share,
             provisional: &provisional,
             late,
             constraints,
@@ -312,7 +316,7 @@ pub(crate) fn synthesize_session_mode(
                     ledger: &ledger,
                     busy: &scratch.busy,
                     by_module: &scratch.by_module,
-                    kind_compat,
+                    kind_share,
                     provisional: &provisional,
                     late,
                     constraints,
@@ -320,49 +324,29 @@ pub(crate) fn synthesize_session_mode(
                     start0: std::mem::take(&mut scratch.start0),
                     avoided: std::mem::take(&mut scratch.avoided),
                 };
-                {
-                    let mut score_span = pchls_obs::span!("kernel.score");
-                    ctx.precompute_tables(&scratch.unbound_vec);
-                    scratch.candidates.clear();
-                    enumerate_candidates(
-                        &ctx,
-                        &scratch.unbound_vec,
-                        unbound.words(),
-                        &mut scratch.candidates,
-                    );
-                    score_span.arg("candidates", scratch.candidates.len());
-                }
+                score_iteration(
+                    &mut ctx,
+                    &scratch.unbound_vec,
+                    unbound.words(),
+                    &mut scratch.selection,
+                );
                 scratch.start0 = std::mem::take(&mut ctx.start0);
                 scratch.avoided = std::mem::take(&mut ctx.avoided);
                 drop(ctx);
-                let candidates: &[Decision] = &scratch.candidates;
-                let cmp = |&x: &u32, &y: &u32| {
-                    let (a, b) = (&candidates[x as usize], &candidates[y as usize]);
-                    b.score
-                        .partial_cmp(&a.score)
-                        .expect("scores are finite")
-                        .then(a.start.cmp(&b.start))
-                        .then(a.op.cmp(&b.op))
-                        .then(x.cmp(&y))
-                };
-                let order: &[u32] = {
+                let order: &[Ranked] = {
                     let _span = pchls_obs::span!("kernel.topk");
-                    scratch.top.clear();
-                    for i in 0..candidates.len() as u32 {
-                        scratch.top.push(i, cmp);
-                    }
-                    scratch.top.sorted(cmp)
+                    scratch.selection.sorted()
                 };
                 let skip = attempts as usize;
                 debug_assert!(
                     plan.entries
                         .iter()
                         .zip(order.iter())
-                        .all(|(e, &i)| *e == candidates[i as usize]),
+                        .all(|(e, r)| *e == r.decision),
                     "replayed candidate prefix diverged from the cold ranking"
                 );
                 outcome = run_attempts(
-                    order.iter().skip(skip).map(|&i| &candidates[i as usize]),
+                    order.iter().skip(skip).map(|r| &r.decision),
                     graph,
                     library,
                     constraints,
@@ -400,17 +384,20 @@ pub(crate) fn synthesize_session_mode(
                 rs.full = true;
             }
         } else {
-            {
-                let mut score_span = pchls_obs::span!("kernel.score");
-                ctx.precompute_tables(&scratch.unbound_vec);
-                scratch.candidates.clear();
-                enumerate_candidates(
+            score_iteration(
+                &mut ctx,
+                &scratch.unbound_vec,
+                unbound.words(),
+                &mut scratch.selection,
+            );
+            #[cfg(test)]
+            if let KernelMode::Oracle(report) = &mut mode {
+                report.check(
                     &ctx,
                     &scratch.unbound_vec,
                     unbound.words(),
-                    &mut scratch.candidates,
+                    &mut scratch.selection,
                 );
-                score_span.arg("candidates", scratch.candidates.len());
             }
             if let KernelMode::Record(memo) = &mut mode {
                 memo.record_tables(&ctx.start0, &ctx.avoided);
@@ -420,33 +407,13 @@ pub(crate) fn synthesize_session_mode(
             scratch.start0 = std::mem::take(&mut ctx.start0);
             scratch.avoided = std::mem::take(&mut ctx.avoided);
             drop(ctx);
-            let candidates: &[Decision] = &scratch.candidates;
-            // Deterministic order: best score first, then earlier start, then
-            // smaller op id, then enumeration index — the index makes the
-            // comparison a *total* order, so the kept top-k set is unique
-            // and the bounded heap below equals a stable full sort truncated
-            // to `MAX_ATTEMPTS`. One pass, one persistent buffer: each
-            // also-ran candidate costs a single comparison against the
-            // heap's worst kept entry.
-            let cmp = |&x: &u32, &y: &u32| {
-                let (a, b) = (&candidates[x as usize], &candidates[y as usize]);
-                b.score
-                    .partial_cmp(&a.score)
-                    .expect("scores are finite")
-                    .then(a.start.cmp(&b.start))
-                    .then(a.op.cmp(&b.op))
-                    .then(x.cmp(&y))
-            };
-            let order: &[u32] = {
+            let complete = scratch.selection.complete();
+            let order: &[Ranked] = {
                 let _span = pchls_obs::span!("kernel.topk");
-                scratch.top.clear();
-                for i in 0..candidates.len() as u32 {
-                    scratch.top.push(i, cmp);
-                }
-                scratch.top.sorted(cmp)
+                scratch.selection.sorted()
             };
             if let KernelMode::Record(memo) = &mut mode {
-                memo.record_top(order, candidates, &scratch.by_module, kind_modules, graph);
+                memo.record_top(order, complete, &scratch.by_module, kind_modules, graph);
             }
 
             // Try candidates best-first; a candidate commits only if the
@@ -457,7 +424,7 @@ pub(crate) fn synthesize_session_mode(
             let mut commit_span = pchls_obs::span!("kernel.commit");
             let mut attempts = 0u64;
             let committed = run_attempts(
-                order.iter().map(|&i| &candidates[i as usize]),
+                order.iter().map(|r| &r.decision),
                 graph,
                 library,
                 constraints,
@@ -671,8 +638,9 @@ pub(crate) struct Context<'a> {
     pub(crate) busy: &'a [Vec<(u32, u32)>],
     /// Open instances per library module, ascending instance id.
     pub(crate) by_module: &'a [Vec<InstanceId>],
-    /// `kind_compat[a][b]`: some module implements both kinds.
-    pub(crate) kind_compat: &'a KindCompat,
+    /// `kind_share[a][b]`: the cheapest module implementing both kinds
+    /// (infinite when none does).
+    pub(crate) kind_share: &'a KindShare,
     pub(crate) provisional: &'a Schedule,
     pub(crate) late: &'a Schedule,
     pub(crate) constraints: &'a SynthesisConstraints,
@@ -755,10 +723,8 @@ struct Scratch {
     busy: Vec<Vec<(u32, u32)>>,
     /// Open instances per library module, ascending instance id.
     by_module: Vec<Vec<InstanceId>>,
-    /// The iteration's enumerated decisions.
-    candidates: Vec<Decision>,
-    /// Bounded best-`MAX_ATTEMPTS` ranking over candidate indices.
-    top: TopK<u32>,
+    /// The iteration's bounded best-`MAX_ATTEMPTS` selection.
+    selection: Selection,
     /// `Context::start0` score table, handed back after each iteration.
     start0: Vec<Option<u32>>,
     /// `Context::avoided` score table, handed back after each iteration.
@@ -771,8 +737,7 @@ impl Scratch {
             unbound_vec: Vec::new(),
             busy: Vec::new(),
             by_module: vec![Vec::new(); lib_len],
-            candidates: Vec::new(),
-            top: TopK::new(MAX_ATTEMPTS),
+            selection: Selection::new(),
             start0: Vec::new(),
             avoided: Vec::new(),
         }
@@ -832,7 +797,7 @@ impl Context<'_> {
     /// Compiled node-mask row of `op`'s kind: bit `j` set iff some
     /// module implements both `op`'s kind and node `j`'s kind. ANDed
     /// against the unbound bitset this yields exactly the partners
-    /// `pair_decisions` would not reject on kind grounds.
+    /// `pair_decision` would not reject on kind grounds.
     pub(crate) fn compat_row(&self, op: NodeId) -> &[u64] {
         self.compiled.compat_row(self.graph.node(op).kind())
     }
@@ -917,6 +882,39 @@ impl Context<'_> {
         shared as f64 * self.options.weights.interconnect
     }
 
+    /// The largest value [`Context::interconnect`] can return for `u`
+    /// against `partners` other ops: each shares at most `u`'s operand
+    /// and successor slots. A negative weight bounds the term by 0.
+    fn interconnect_ceiling(&self, u: NodeId, partners: usize) -> f64 {
+        if !self.options.interconnect_scoring {
+            return 0.0;
+        }
+        let slots = self.graph.operands(u).len() + self.graph.successors(u).len();
+        ((partners * slots) as f64 * self.options.weights.interconnect).max(0.0)
+    }
+
+    /// The pair `(u, v)` serialized in dependence order if one exists:
+    /// `(v, u)` when `v` reaches `u`, else `(u, v)`.
+    pub(crate) fn dependence_order(&self, u: NodeId, v: NodeId) -> (NodeId, NodeId) {
+        if self.reach.reaches(v, u) {
+            (v, u)
+        } else {
+            (u, v)
+        }
+    }
+
+    /// The largest value `−displacement·d` can add to a score, over every
+    /// displacement `d` a candidate whose op (or partner) starts freely
+    /// at `free` can incur: `d ∈ [0, latency − free]`, so the bound is 0
+    /// for a non-negative weight and `|weight|·(latency − free)` for a
+    /// negative one. Floating-point rounding is monotone, so adding it
+    /// where the exact score subtracts `displacement·d` bounds the exact
+    /// score bit for bit.
+    fn displacement_bound(&self, free: u32) -> f64 {
+        let reach = self.constraints.latency.saturating_sub(free);
+        (-self.options.weights.displacement).max(0.0) * f64::from(reach)
+    }
+
     /// Modules allowed for `op` under the ablation switches (borrowed —
     /// no per-query allocation).
     pub(crate) fn modules_for(&self, op: NodeId) -> &[ModuleId] {
@@ -928,81 +926,318 @@ impl Context<'_> {
     }
 }
 
-/// Enumerates every feasible decision for the unbound operations into
-/// `out` (cleared by the caller): each op's single decisions, then every
-/// pair merge.
+/// One kept candidate plus its enumeration index, the ranking's final
+/// tie-break.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ranked {
+    pub(crate) decision: Decision,
+    index: u32,
+}
+
+/// The kernel's candidate ranking, best first: score descending, then
+/// earlier start, then smaller op id, then enumeration index. The index
+/// makes it a *total* order, so the kept best-`MAX_ATTEMPTS` set is
+/// unique and equals a stable full sort truncated to the cap.
+fn rank(a: &Ranked, b: &Ranked) -> Ordering {
+    b.decision
+        .score
+        .partial_cmp(&a.decision.score)
+        .expect("scores are finite")
+        .then(a.decision.start.cmp(&b.decision.start))
+        .then(a.decision.op.cmp(&b.decision.op))
+        .then(a.index.cmp(&b.index))
+}
+
+/// One iteration's bounded best-`MAX_ATTEMPTS` selection: the heap the
+/// enumeration feeds as it goes, plus the counters that say whether the
+/// kept list covers every feasible decision.
+pub(crate) struct Selection {
+    top: TopK<Ranked>,
+    /// Candidates built and offered so far (the next enumeration index).
+    built: u32,
+    /// Candidates and whole pair rows dropped by a bound before being
+    /// built.
+    pub(crate) skipped: usize,
+}
+
+impl Selection {
+    fn new() -> Selection {
+        Selection {
+            top: TopK::new(MAX_ATTEMPTS),
+            built: 0,
+            skipped: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.top.clear();
+        self.built = 0;
+        self.skipped = 0;
+    }
+
+    /// Whether the kept list is every feasible decision of the
+    /// iteration: nothing was skipped and nothing was evicted.
+    pub(crate) fn complete(&self) -> bool {
+        self.skipped == 0 && self.built as usize <= MAX_ATTEMPTS
+    }
+
+    /// Score of the worst kept candidate once the heap is full.
+    fn worst_score(&self) -> Option<f64> {
+        self.top.worst_if_full().map(|w| w.decision.score)
+    }
+
+    /// Whether a candidate of `op` whose best possible key is `(score,
+    /// start)` may still rank among the kept; counts a refusal as
+    /// skipped. A full heap refuses unless the key strictly precedes the
+    /// worst kept entry on `(score, start, op)`: on an equal key the
+    /// candidate would lose the index tie-break, since every kept entry
+    /// was enumerated before it.
+    fn admits(&mut self, score: f64, start: u32, op: NodeId) -> bool {
+        let Some(w) = self.top.worst_if_full() else {
+            return true;
+        };
+        let w = &w.decision;
+        let ahead = score
+            .partial_cmp(&w.score)
+            .expect("scores are finite")
+            .then(w.start.cmp(&start))
+            .then(w.op.cmp(&op))
+            == Ordering::Greater;
+        self.skipped += usize::from(!ahead);
+        ahead
+    }
+
+    /// Offers a built candidate to the heap.
+    fn offer(&mut self, decision: Decision) {
+        let index = self.built;
+        self.built += 1;
+        self.top.push(Ranked { decision, index }, rank);
+    }
+
+    /// The kept candidates, best first. The heap shape is consumed; the
+    /// next [`select_candidates`] clears it.
+    pub(crate) fn sorted(&mut self) -> &[Ranked] {
+        self.top.sorted(rank)
+    }
+}
+
+/// Fills the iteration's score tables and runs [`select_candidates`],
+/// under the `kernel.score` span.
+fn score_iteration(
+    ctx: &mut Context<'_>,
+    unbound_vec: &[NodeId],
+    unbound_words: &[u64],
+    selection: &mut Selection,
+) {
+    let mut span = pchls_obs::span!("kernel.score");
+    ctx.precompute_tables(unbound_vec);
+    select_candidates(ctx, unbound_vec, unbound_words, selection);
+    span.arg("kept", selection.top.len());
+    span.arg("skipped", selection.skipped);
+}
+
+/// Walks every feasible decision of the unbound operations in the
+/// canonical enumeration order — each op's single decisions, then every
+/// pair merge — feeding the bounded heap as it goes, and skips any
+/// candidate whose best possible key cannot beat the worst kept one.
 ///
-/// Pair partners come from a word walk, not a nested scan: for each
-/// unbound `u`, `unbound ∧ compat_row(kind(u)) ∧ (id > u)` is two
-/// word-`AND`s walked with `trailing_zeros` ([`iter_and_above`]). The
-/// surviving ids are exactly the partners the scalar `v`-loop would
-/// have fed `pair_decisions` that pass its kind-compatibility
-/// early-return, in the same ascending order — dropped pairs produced
-/// no decisions, so enumeration indices (and the trace) are unchanged.
+/// **Exactness.** A skipped candidate would rank no better than the
+/// worst kept entry at the time, and every kept entry precedes it in
+/// enumeration order, so it would lose even a full tie. The worst kept
+/// entry only improves, so a skipped candidate is never in the final
+/// top list, and the kept list equals the exhaustive ranking truncated
+/// to `MAX_ATTEMPTS`, element for element. The bounds hold for every
+/// sign of the [`CostWeights`](pchls_bind::CostWeights):
+///
+/// * an existing-instance merge's start is at least `start0(u, m)`;
+///   a pair's start is exactly `start0(first, m)`;
+/// * a merge's score is at most its exact area term plus
+///   [`Context::interconnect_ceiling`] and
+///   [`Context::displacement_bound`], and it searches its instance fit
+///   only past that bound; a pair's score is at most its exact area and
+///   interconnect terms plus the displacement bound, checked before the
+///   partner's ledger search;
+/// * a whole pair row `u`, then a single pair before its orientation
+///   and modules, is skipped when its [`PairBound`] ceiling is below the
+///   worst kept score.
+///
+/// Partners come from a word walk, not a nested scan: `unbound ∧
+/// compat_row(kind(u)) ∧ (id > u)` is two word-`AND`s walked with
+/// `trailing_zeros` ([`iter_and_above`]). Kind-incompatible pairs
+/// produce no decisions, so the walk drops nothing that could rank.
 ///
 /// The loop is serial on purpose: the greedy loop commits one decision
 /// per iteration against a shared ledger, so parallelism lives across
 /// constraint points and requests (sweeps, batches, serve pools), where
 /// it pays. An in-iteration fan-out measured slower than this loop.
-fn enumerate_candidates(
+fn select_candidates(
     ctx: &Context<'_>,
     unbound_vec: &[NodeId],
     unbound_words: &[u64],
-    out: &mut Vec<Decision>,
+    sel: &mut Selection,
 ) {
+    sel.clear();
     for &u in unbound_vec {
-        single_decisions(ctx, u, out);
+        for &m in ctx.modules_for(u) {
+            // (1) Merge onto an existing instance.
+            for &iid in &ctx.by_module[m.index()] {
+                if let Some(d) =
+                    existing_decision(ctx, u, m, iid, |score, start| sel.admits(score, start, u))
+                {
+                    sel.offer(d);
+                }
+            }
+            // (3) Dedicated instance (fallback): exact and cheap, so the
+            // heap's own comparison is its bound.
+            if let Some(d) = fresh_decision(ctx, u, m) {
+                sel.offer(d);
+            }
+        }
     }
+    // (2) Pair merges.
+    let bound = PairBound::new(ctx, unbound_vec);
     for &u in unbound_vec {
+        if sel.worst_score().is_some_and(|w| bound.row(ctx, u) < w) {
+            sel.skipped += 1;
+            continue;
+        }
         for v in iter_and_above(unbound_words, ctx.compat_row(u), u.index()) {
-            pair_decisions(ctx, u, v, out);
+            if sel.worst_score().is_some_and(|w| bound.pair(ctx, u, v) < w) {
+                sel.skipped += 1;
+                continue;
+            }
+            let (first, second) = ctx.dependence_order(u, v);
+            for &m in ctx.modules_for(first) {
+                if let Some(d) = pair_decision(ctx, first, second, m, |score, start| {
+                    sel.admits(score, start, first)
+                }) {
+                    sel.offer(d);
+                }
+            }
         }
     }
 }
 
-/// Appends the decisions binding one unbound operation on its own:
-/// merges onto each compatible existing instance, plus the
-/// dedicated-instance fallback, in the serial enumeration order.
-fn single_decisions(ctx: &Context<'_>, u: NodeId, out: &mut Vec<Decision>) {
-    for &m in ctx.modules_for(u) {
-        // (1) Merge onto an existing instance: earliest start at which
-        // the instance is free and power fits. Starting later than the
-        // op's free earliest start consumes schedule slack and is
-        // penalized (see `CostWeights::displacement`).
-        for &iid in &ctx.by_module[m.index()] {
-            if let Some(d) = existing_decision(ctx, u, m, iid) {
-                out.push(d);
-            }
+/// Per-iteration ceilings on pair-merge scores, for a whole enumeration
+/// row `u` (every pair `(u, v > u)`) and for one pair before its
+/// orientation and modules are looked at.
+///
+/// A pair on module `m` scores `area·gain + interconnect −
+/// displacement·d` with `gain = avoided(u) + avoided(v) − area(m) > 0`,
+/// and `m` implements both kinds, so `area(m) ≥ kind_share[kind(u)]
+/// [kind(v)]`. The shared-connection count is at most the first op's
+/// operand-plus-successor slots, and `d ∈ [0, latency]`. Each term's
+/// ceiling is taken sign-aware, so a negative or zero weight bounds its
+/// term by 0 instead of flipping the inequality.
+struct PairBound {
+    /// Per kind: the largest `avoided` over the unbound ops of that kind
+    /// (0 when there are none, which no partner can exceed).
+    kind_avoided: [f64; OpKind::ALL.len()],
+    /// Ceiling of the interconnect term, at the most slots of any
+    /// unbound op.
+    interconnect: f64,
+    /// Magnitude of the interconnect term, for the rounding margin.
+    interconnect_abs: f64,
+    /// Ceiling of the displacement term over the whole horizon.
+    displacement: f64,
+}
+
+impl PairBound {
+    fn new(ctx: &Context<'_>, unbound_vec: &[NodeId]) -> PairBound {
+        let mut kind_avoided = [0.0f64; OpKind::ALL.len()];
+        let mut slots = 0usize;
+        for &v in unbound_vec {
+            let k = ctx.graph.node(v).kind().index();
+            kind_avoided[k] = kind_avoided[k].max(ctx.avoided_area(v));
+            slots = slots.max(ctx.graph.operands(v).len() + ctx.graph.successors(v).len());
         }
-        // (3) Dedicated instance (fallback).
-        if let Some(d) = fresh_decision(ctx, u, m) {
-            out.push(d);
+        let w = &ctx.options.weights;
+        let shared = if ctx.options.interconnect_scoring {
+            slots as f64
+        } else {
+            0.0
+        };
+        PairBound {
+            kind_avoided,
+            interconnect: (w.interconnect * shared).max(0.0),
+            interconnect_abs: (w.interconnect * shared).abs(),
+            displacement: (-w.displacement).max(0.0) * f64::from(ctx.constraints.latency),
         }
+    }
+
+    /// A ceiling on every pair score of row `u`.
+    fn row(&self, ctx: &Context<'_>, u: NodeId) -> f64 {
+        let k = ctx.graph.node(u).kind().index();
+        let shares = &ctx.kind_share[k];
+        (0..OpKind::ALL.len())
+            .filter(|&j| shares[j].is_finite())
+            .map(|j| self.ceiling(ctx, ctx.avoided_area(u) + self.kind_avoided[j], shares[j]))
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// A ceiling on every pair score of the kind-compatible pair `(u, v)`.
+    fn pair(&self, ctx: &Context<'_>, u: NodeId, v: NodeId) -> f64 {
+        let (ku, kv) = (
+            ctx.graph.node(u).kind().index(),
+            ctx.graph.node(v).kind().index(),
+        );
+        self.ceiling(
+            ctx,
+            ctx.avoided_area(u) + ctx.avoided_area(v),
+            ctx.kind_share[ku][kv],
+        )
+    }
+
+    /// The ceiling for avoided areas summing to `avoided` on a module of
+    /// area at least `area`, with a relative margin far above the few
+    /// roundings an exact score carries (the terms are summed in a
+    /// different order here).
+    fn ceiling(&self, ctx: &Context<'_>, avoided: f64, area: f64) -> f64 {
+        let a = ctx.options.weights.area;
+        let gain = (a * (avoided - area)).max(0.0);
+        let scale = a.abs() * (avoided + area) + self.interconnect_abs + self.displacement;
+        gain + self.interconnect + self.displacement + 1e-9 * (1.0 + scale)
     }
 }
 
 /// The decision merging unbound `u` onto existing instance `iid` of
-/// module `m`, if it fits.
+/// module `m`, if `admit` accepts its best possible `(score, start)`
+/// and it fits.
+///
+/// Starting later than the op's free earliest start consumes schedule
+/// slack and is penalized (see `CostWeights::displacement`). The bound
+/// takes the start at `start0(u, m)` and the interconnect and
+/// displacement terms at their ceilings, before the instance fit is
+/// searched or shared connections are counted.
 pub(crate) fn existing_decision(
     ctx: &Context<'_>,
     u: NodeId,
     m: ModuleId,
     iid: InstanceId,
+    admit: impl FnOnce(f64, u32) -> bool,
 ) -> Option<Decision> {
-    let s = earliest_instance_fit(ctx, u, m, iid)?;
-    let free_start = ctx.candidate_start0(u, m);
-    let displaced = f64::from(s - free_start.expect("fit implies a free start"));
+    let free_start = ctx.candidate_start0(u, m)?;
     let inst = ctx.binding.instance(iid);
+    let area = ctx.options.weights.area * ctx.avoided_area(u);
     // The +1 bonus breaks ties against pair merges: growing an existing
     // clique saves one unit per *one* operation consumed, a pair saves
     // one unit per two — without the bonus the greedy fragments large
     // op classes into many two-op instances.
+    let ceiling = area
+        + ctx.interconnect_ceiling(u, inst.ops().len())
+        + ctx.displacement_bound(free_start)
+        + 1.0;
+    if !admit(ceiling, free_start) {
+        return None;
+    }
+    let s = earliest_instance_fit(ctx, u, m, iid, free_start)?;
+    let displaced = f64::from(s - free_start);
     Some(Decision {
         op: u,
         module: m,
         start: s,
         target: Target::Existing(iid),
-        score: ctx.options.weights.area * ctx.avoided_area(u) + ctx.interconnect(u, inst.ops())
+        score: area + ctx.interconnect(u, inst.ops())
             - ctx.options.weights.displacement * displaced
             + 1.0,
     })
@@ -1022,36 +1257,17 @@ pub(crate) fn fresh_decision(ctx: &Context<'_>, u: NodeId, m: ModuleId) -> Optio
     })
 }
 
-/// Appends the pair-merge decisions for one unordered pair of unbound
-/// operations, in the serial enumeration order.
-fn pair_decisions(ctx: &Context<'_>, u: NodeId, v: NodeId, out: &mut Vec<Decision>) {
-    // Kind-incompatible pairs (no module covers both kinds) are already
-    // dropped by the callers' compat-mask word walk.
-    debug_assert!(
-        ctx.kind_compat[ctx.graph.node(u).kind().index()][ctx.graph.node(v).kind().index()],
-        "pair enumeration fed a kind-incompatible pair"
-    );
-    // Serialize in dependence order if one exists.
-    let (first, second) = if ctx.reach.reaches(v, u) {
-        (v, u)
-    } else {
-        (u, v)
-    };
-    for &m in ctx.modules_for(first) {
-        if let Some(d) = pair_decision(ctx, first, second, m) {
-            out.push(d);
-        }
-    }
-}
-
 /// The decision opening one shared instance of module `m` for the
 /// dependence-ordered pair `(first, second)`, if the merge is
-/// profitable and feasible.
+/// profitable and feasible and `admit` accepts its best possible
+/// `(score, start)`. Everything but the partner's start is a table
+/// lookup, so the bound is checked before the partner's ledger search.
 pub(crate) fn pair_decision(
     ctx: &Context<'_>,
     first: NodeId,
     second: NodeId,
     m: ModuleId,
+    admit: impl FnOnce(f64, u32) -> bool,
 ) -> Option<Decision> {
     let spec = ctx.library.module(m);
     if !spec.implements(ctx.graph.node(second).kind()) {
@@ -1063,7 +1279,21 @@ pub(crate) fn pair_decision(
     }
     let s1 = ctx.candidate_start0(first, m)?;
     let s2_free = ctx.candidate_start0(second, m)?;
-    let s2 = ctx.candidate_start(second, m, s1 + spec.latency())?;
+    let area = ctx.options.weights.area * gain;
+    let merit = area + ctx.interconnect(first, &[second]);
+    if !admit(merit + ctx.displacement_bound(s2_free), s1) {
+        return None;
+    }
+    // `candidate_start` is monotone in its start bound: when the first
+    // op finishes by the partner's free start, the partner starts there
+    // exactly, with no ledger search.
+    let after = s1 + spec.latency();
+    let s2 = if after <= s2_free {
+        debug_assert_eq!(ctx.candidate_start(second, m, after), Some(s2_free));
+        s2_free
+    } else {
+        ctx.candidate_start(second, m, after)?
+    };
     // Dependence-ordered pairs serialize for free (s2 at its natural
     // slot); concurrent siblings pay for the slack their serialization
     // consumes.
@@ -1076,22 +1306,23 @@ pub(crate) fn pair_decision(
             partner: second,
             partner_start: s2,
         },
-        score: ctx.options.weights.area * gain + ctx.interconnect(first, &[second])
-            - ctx.options.weights.displacement * displaced,
+        score: merit - ctx.options.weights.displacement * displaced,
     })
 }
 
 /// Earliest start at which `u` can execute on instance `iid` of module
 /// `m`: power-feasible and not overlapping the instance's busy intervals.
+/// `free_start` is `candidate_start0(u, m)`, the search's first probe.
 fn earliest_instance_fit(
     ctx: &Context<'_>,
     u: NodeId,
     m: ModuleId,
     iid: InstanceId,
+    free_start: u32,
 ) -> Option<u32> {
     let delay = ctx.library.module(m).latency();
     let busy = &ctx.busy[iid.index()];
-    let mut s = ctx.candidate_start0(u, m)?;
+    let mut s = free_start;
     loop {
         // First busy interval overlapping [s, s+delay), if any.
         match busy
@@ -1346,6 +1577,47 @@ mod tests {
 
     fn synth(graph: &Cdfg, latency: u32, power: f64) -> Result<SynthesizedDesign, SynthesisError> {
         synth_opts(graph, latency, power, &SynthesisOptions::default())
+    }
+
+    /// A selection of exactly `MAX_ATTEMPTS` built candidates is
+    /// complete only while nothing was skipped: one refusal through
+    /// `admits`, or one skipped pair row, means a decision outside the
+    /// kept list exists, which replay must not treat as absent.
+    #[test]
+    fn a_skip_marks_a_full_selection_incomplete() {
+        let module = paper_library()
+            .candidates(OpKind::Add)
+            .next()
+            .expect("the paper library has an adder");
+        let full = || {
+            let mut sel = Selection::new();
+            for i in 0..MAX_ATTEMPTS as u32 {
+                assert!(sel.admits(100.0 - f64::from(i), 0, NodeId::new(i)));
+                sel.offer(Decision {
+                    op: NodeId::new(i),
+                    module,
+                    start: 0,
+                    target: Target::Fresh,
+                    score: 100.0 - f64::from(i),
+                });
+            }
+            sel
+        };
+        let sel = full();
+        assert!(sel.complete(), "64 built, none skipped");
+
+        let mut refused = full();
+        let worst = 100.0 - f64::from(MAX_ATTEMPTS as u32 - 1);
+        assert!(!refused.admits(worst - 1.0, 0, NodeId::new(999)));
+        assert_eq!(refused.skipped, 1);
+        assert!(
+            !refused.complete(),
+            "a refused candidate was counted complete"
+        );
+
+        let mut row = full();
+        row.skipped += 1;
+        assert!(!row.complete(), "a skipped pair row was counted complete");
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! A flat bounded "best-k" heap with a reusable buffer.
 //!
-//! The synthesis kernel ranks every candidate decision of an iteration
-//! but only ever *attempts* the best `MAX_ATTEMPTS` (64) of them. The
-//! historical shape — materialize a full index vector,
-//! `select_nth_unstable` it, truncate, sort — allocates O(C) and walks
-//! every index three times. [`TopK`] replaces that with a single pass:
-//! a flat array-backed heap of at most `k` items whose **root is the
-//! worst kept item**, so each incoming candidate either replaces the
-//! root (one sift-down) or is discarded with a single comparison. The
+//! The synthesis kernel ranks the candidate decisions of an iteration
+//! but only ever *attempts* the best `MAX_ATTEMPTS` (64) of them.
+//! [`TopK`] keeps that best-k in a single pass: a flat array-backed heap
+//! of at most `k` items whose **root is the worst kept item**, so each
+//! incoming candidate either replaces the root (one sift-down) or is
+//! discarded with a single comparison. [`TopK::worst_if_full`] exposes
+//! that root, which is the bar the kernel's bounded selection holds a
+//! candidate's best possible key against *before* building it. The
 //! buffer persists across iterations ([`TopK::clear`], not a fresh
 //! allocation).
 //!
@@ -89,6 +89,14 @@ impl<T: Copy> TopK<T> {
         }
     }
 
+    /// The worst kept item once the heap holds `cap` items, or `None`
+    /// while it still has room (when every offer is kept). An item that
+    /// does not rank before it can never be kept.
+    #[must_use]
+    pub fn worst_if_full(&self) -> Option<&T> {
+        (self.heap.len() == self.cap).then(|| &self.heap[0])
+    }
+
     /// Sorts the kept items in place (best first) and returns them.
     /// The heap shape is consumed: [`TopK::clear`] before pushing again.
     pub fn sorted(&mut self, mut cmp: impl FnMut(&T, &T) -> Ordering) -> &[T] {
@@ -163,6 +171,24 @@ mod tests {
         }
         assert_eq!(top.sorted(u32::cmp), &[7, 9]);
         assert_eq!(top.len(), 2);
+    }
+
+    #[test]
+    fn worst_if_full_is_the_kth_best_once_full() {
+        let mut top = TopK::new(3);
+        assert_eq!(top.worst_if_full(), None);
+        for (x, worst) in [
+            (5u32, None),
+            (1, None),
+            (4, Some(5)),
+            (2, Some(4)),
+            (8, Some(4)),
+        ] {
+            top.push(x, u32::cmp);
+            assert_eq!(top.worst_if_full().copied(), worst, "after {x}");
+        }
+        top.clear();
+        assert_eq!(top.worst_if_full(), None, "clear empties the heap");
     }
 
     #[test]

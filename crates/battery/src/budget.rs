@@ -35,8 +35,8 @@ use crate::models::{BatteryModel, MAX_ITERATIONS};
 ///
 /// The returned budget covers `horizon` cycles (per-cycle shape). When
 /// the sag over the whole horizon is negligible (under one part in
-/// 10⁶ of `peak`), the constant budget is returned instead so the
-/// synthesis layers keep the scalar fast path.
+/// 10⁶ of `peak`), the constant budget is returned instead, so an
+/// ample cell reproduces the paper's scalar constraint exactly.
 ///
 /// # Panics
 ///
@@ -82,11 +82,17 @@ pub fn budget_from_model(
 mod tests {
     use super::*;
     use crate::{IdealBattery, PeukertBattery, RateCapacityBattery};
+    use pchls_sched::PowerLedger;
 
     #[test]
     fn ideal_cells_keep_the_scalar_constraint() {
         let b = budget_from_model(&IdealBattery::new(1e12), 20, 25.0, 5.0);
         assert_eq!(b, PowerBudget::constant(25.0));
+        // Any spelling of that constant builds the same ledger.
+        assert_eq!(
+            PowerLedger::new(20, &b),
+            PowerLedger::new(20, &PowerBudget::per_cycle(vec![25.0; 20]))
+        );
     }
 
     #[test]
@@ -118,8 +124,8 @@ mod tests {
         // a valid ledger budget.
         let cell = RateCapacityBattery::low_quality(2_000.0);
         let budget = budget_from_model(&cell, 16, 25.0, 5.0);
-        let ledger = pchls_sched::PowerLedger::with_budget(16, &budget);
-        assert!(ledger.is_envelope());
+        let ledger = PowerLedger::new(16, &budget);
+        assert_ne!(ledger, PowerLedger::new(16, &PowerBudget::constant(25.0)));
         assert!(ledger.fits(0, 2, 20.0));
         // Late cycles have sagged below what early cycles admit.
         assert!(ledger.bound(15) < ledger.bound(0));

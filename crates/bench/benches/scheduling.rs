@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pchls_cdfg::benchmarks;
 use pchls_fulib::{paper_library, SelectionPolicy};
-use pchls_sched::{alap, asap, force_directed, palap, pasap, two_step, TimingMap};
+use pchls_sched::{alap, asap, force_directed, palap, pasap, two_step, PowerBudget, TimingMap};
 
 fn bench_scheduling(c: &mut Criterion) {
     let lib = paper_library();
@@ -11,7 +11,7 @@ fn bench_scheduling(c: &mut Criterion) {
     for g in benchmarks::paper_set() {
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let cp = asap(&g, &t).latency(&t);
-        let bound = 30.0;
+        let bound = PowerBudget::constant(30.0);
         group.bench_with_input(BenchmarkId::new("asap", g.name()), &g, |b, g| {
             b.iter(|| asap(g, &t));
         });
@@ -19,13 +19,13 @@ fn bench_scheduling(c: &mut Criterion) {
             b.iter(|| alap(g, &t, cp + 4).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("pasap", g.name()), &g, |b, g| {
-            b.iter(|| pasap(g, &t, bound, 200).unwrap());
+            b.iter(|| pasap(g, &t, &bound, 200).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("palap", g.name()), &g, |b, g| {
-            b.iter(|| palap(g, &t, bound, cp + 10).unwrap());
+            b.iter(|| palap(g, &t, &bound, cp + 10).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("two_step", g.name()), &g, |b, g| {
-            b.iter(|| two_step(g, &t, cp + 6, bound).unwrap());
+            b.iter(|| two_step(g, &t, cp + 6, &bound).unwrap());
         });
         let modules: Vec<_> = g
             .nodes()

@@ -1,7 +1,7 @@
 //! Kernel-focused scaling benchmark: times the synthesis kernel itself
 //! (not the sweep layer) on the paper's benchmarks and on progressively
-//! larger random CDFGs, pinned to one thread vs. at the default thread
-//! count (the kernel is serial, so the two columns must agree), and
+//! larger random CDFGs — one synthesis is one thread, so one serial
+//! column, every timed run checked against its warm-up design — and
 //! writes the measurement to `BENCH_2.json` (`pchls-bench-v1`, workload
 //! `synthesis-kernel`). A second workload, `engine-amortized`, times a
 //! whole constraint sweep through one compile-once [`Session`] against
@@ -13,16 +13,13 @@
 //! direct [`Session::synthesize`] output, and writes `BENCH_4.json`.
 //!
 //! A fourth workload, `envelope-kernel`, measures the [`PowerBudget`]
-//! generalization (`BENCH_5.json`): the scalar path vs. an equal-bound
-//! constant envelope (which must collapse to the scalar fast path —
-//! byte-identical designs, parity wall clock) and a genuinely stepwise
-//! envelope driving the slack-min ledger mode.
+//! generalization (`BENCH_5.json`): the scalar bound vs. the same bound
+//! spelled as a per-cycle envelope (which must give byte-identical
+//! designs at parity wall clock) and a genuinely stepwise envelope.
 //!
-//! A fifth workload, `scaling`, records honest per-thread-count
-//! wall-clock curves (`BENCH_6.json`): the sweep fan-out (one
-//! Figure 2 curve through [`Session::sweep`]) and one large
-//! random-graph synthesis (a serial kernel: a flat control curve) are
-//! each timed under
+//! A fifth workload, `scaling`, records an honest per-thread-count
+//! wall-clock curve (`BENCH_6.json`): the sweep fan-out (one Figure 2
+//! curve through [`Session::sweep`]) timed under
 //! [`pchls_par::with_thread_count`] at 1/2/4/8 workers capped at the
 //! pool width. On a single-core host the curve degrades gracefully to
 //! an explicit one-point record (`single_point: true`); on multi-core
@@ -69,12 +66,14 @@
 //! `--smoke` runs a seconds-scale subset (small graphs, one repetition)
 //! so CI can keep the workloads from rotting, and writes its records
 //! under `target/bench-smoke/` instead of over the committed files.
+//! Positional names (`scale store edits`) select workloads. A failed
+//! gate panics inside its workload; the remaining workloads still run,
+//! every failure is listed at the end, and the binary exits non-zero.
 //!
-//! Serial timings run under [`pchls_par::with_thread_count`]`(1, ..)`,
-//! the in-process A/B switch, and both sides are compared for exact
-//! equality (`outputs_identical`): the default thread count must
-//! reproduce the one-thread decision trace bit for bit, and the
-//! amortized session must reproduce the per-point designs bit for bit.
+//! Timed outputs are compared for exact equality
+//! (`outputs_identical`): every timed kernel run must reproduce its
+//! warm-up decision trace bit for bit, every thread count its
+//! one-thread output, and the amortized session the per-point designs.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -112,39 +111,29 @@ struct CaseRecord {
     latency_bound: u32,
     /// Power constraint `P<`.
     power_bound: f64,
-    /// Synthesis repetitions per side.
+    /// Timed synthesis repetitions.
     reps: usize,
-    /// Best wall-clock seconds of one synthesis pinned to one thread.
+    /// Best wall-clock seconds of one synthesis.
     serial_secs: f64,
-    /// Best wall-clock seconds of one synthesis at the default thread
-    /// count.
-    parallel_secs: f64,
-    /// Whether synthesis succeeded (both sides must agree).
+    /// Whether synthesis succeeded.
     feasible: bool,
 }
 
-/// The perf-trajectory record (`BENCH_*.json`), same top-level fields as
-/// `suite`'s `BENCH_1.json` so the trajectory stays comparable.
+/// The `synthesis-kernel` trajectory record (`BENCH_2.json`).
 #[derive(Debug, Serialize)]
 struct BenchRecord {
     /// Trajectory schema marker.
     schema: String,
     /// What is being timed.
     workload: String,
-    /// Synthesis runs per side (cases × reps).
+    /// Timed synthesis runs (cases × reps).
     points: usize,
-    /// Worker threads the parallel side may use.
-    threads: usize,
-    /// Host cores (`available_parallelism`); speedup is bounded by this.
+    /// Host cores (`available_parallelism`).
     host_cores: usize,
-    /// Sum of the per-case best seconds pinned to one thread.
+    /// Sum of the per-case best seconds.
     serial_secs: f64,
-    /// Sum of the per-case best seconds at the default thread count.
-    parallel_secs: f64,
-    /// `serial_secs / parallel_secs`.
-    speedup: f64,
-    /// Whether the default thread count reproduced the one-thread
-    /// designs exactly.
+    /// Whether every timed run reproduced its case's warm-up design
+    /// exactly, effort counters included.
     outputs_identical: bool,
     /// Per-case breakdown.
     cases: Vec<CaseRecord>,
@@ -218,11 +207,10 @@ fn paper_case(graph: Cdfg, latency: u32, power: f64) -> Case {
     }
 }
 
-/// The `synthesis-kernel` workload: one thread vs. the default thread
-/// count through one shared session per case (BENCH_2.json). The
-/// kernel has no in-iteration fan-out, so the columns time the same
-/// serial loop; the record shows thread settings do not change a
-/// single synthesis.
+/// The `synthesis-kernel` workload: best-of-`reps` wall clock of one
+/// synthesis per case through one shared session (BENCH_2.json). One
+/// synthesis is one thread, so there is a single, serial column; every
+/// timed run must reproduce the case's warm-up design.
 fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     let (cases, reps) = if smoke {
         (
@@ -249,58 +237,39 @@ fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     let mut records = Vec::new();
     let mut outputs_identical = true;
     println!(
-        "{:<12} {:>5} {:>4} {:>6} | {:>10} {:>10} {:>7} {:>9}",
-        "case", "nodes", "T", "P<", "serial_s", "par_s", "speedup", "identical"
+        "{:<12} {:>5} {:>4} {:>6} | {:>10} {:>9}",
+        "case", "nodes", "T", "P<", "serial_s", "identical"
     );
-    println!("{}", "-".repeat(72));
+    println!("{}", "-".repeat(54));
     for case in &cases {
         let compiled = engine.compile(&case.graph);
         let session = engine.session(&compiled);
         // Warm-up (untimed) run so allocator state is comparable; its
         // output is the reference every timed run must reproduce.
-        let reference =
-            pchls_par::with_thread_count(1, || session.synthesize(case.constraints.clone(), opts));
+        let reference = session.synthesize(case.constraints.clone(), opts);
         let mut identical = true;
-        // Best of `reps` per side, the sides interleaved and taking
-        // turns going first, so host drift (clock speed, caches,
-        // neighbours) lands on both columns alike. Outputs are checked
-        // and dropped at once, so neither side runs on a heap grown by
-        // the other's retained designs.
-        let (mut serial_secs, mut parallel_secs) = (f64::INFINITY, f64::INFINITY);
-        for rep in 0..reps {
-            for pinned in [rep % 2 == 0, rep % 2 == 1] {
-                // One call site for both sides: only the thread cap
-                // differs (`MAX_THREADS` leaves the default in force).
-                let cap = if pinned { 1 } else { pchls_par::MAX_THREADS };
-                let start = Instant::now();
-                let out = pchls_par::with_thread_count(cap, || {
-                    session.synthesize(case.constraints.clone(), opts)
-                });
-                let secs = start.elapsed().as_secs_f64();
-                if pinned {
-                    serial_secs = serial_secs.min(secs);
-                } else {
-                    parallel_secs = parallel_secs.min(secs);
-                }
-                identical &= match (&reference, &out) {
-                    (Ok(a), Ok(b)) => a == b && a.stats == b.stats,
-                    (Err(_), Err(_)) => true,
-                    _ => false,
-                };
-            }
+        // Best of `reps`. Outputs are checked and dropped at once, so
+        // no run works on a heap grown by earlier retained designs.
+        let mut serial_secs = f64::INFINITY;
+        for _ in 0..reps {
+            let start = Instant::now();
+            let out = session.synthesize(case.constraints.clone(), opts);
+            serial_secs = serial_secs.min(start.elapsed().as_secs_f64());
+            identical &= match (&reference, &out) {
+                (Ok(a), Ok(b)) => a == b && a.stats == b.stats,
+                (Err(_), Err(_)) => true,
+                _ => false,
+            };
         }
 
         outputs_identical &= identical;
-        let feasible = reference.is_ok();
         println!(
-            "{:<12} {:>5} {:>4} {:>6} | {:>10.4} {:>10.4} {:>6.2}x {:>9}",
+            "{:<12} {:>5} {:>4} {:>6} | {:>10.4} {:>9}",
             case.name,
             case.graph.len(),
             case.constraints.latency,
             case.constraints.max_power(),
             serial_secs,
-            parallel_secs,
-            serial_secs / parallel_secs,
             identical,
         );
         records.push(CaseRecord {
@@ -310,32 +279,26 @@ fn kernel_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             power_bound: case.constraints.max_power(),
             reps,
             serial_secs,
-            parallel_secs,
-            feasible,
+            feasible: reference.is_ok(),
         });
     }
 
-    let serial_secs: f64 = records.iter().map(|r| r.serial_secs).sum();
-    let parallel_secs: f64 = records.iter().map(|r| r.parallel_secs).sum();
     let record = BenchRecord {
         schema: "pchls-bench-v1".into(),
         workload: "synthesis-kernel".into(),
         points: records.len() * reps,
-        threads: pchls_par::thread_count(),
         host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        serial_secs,
-        parallel_secs,
-        speedup: serial_secs / parallel_secs,
+        serial_secs: records.iter().map(|r| r.serial_secs).sum(),
         outputs_identical,
         cases: records,
     };
     println!(
-        "\ntotal: serial {:.3}s | parallel {:.3}s | speedup {:.2}x | identical: {}",
-        record.serial_secs, record.parallel_secs, record.speedup, record.outputs_identical
+        "\ntotal: serial {:.3}s | identical: {}",
+        record.serial_secs, record.outputs_identical
     );
     assert!(
         record.outputs_identical,
-        "the default thread count diverged from the one-thread decision trace"
+        "a timed run diverged from the warm-up decision trace"
     );
     write_record(smoke, "BENCH_2.json", &record);
 }
@@ -683,14 +646,14 @@ struct EnvelopeCaseRecord {
     power_bound: f64,
     /// Timing repetitions (minimum taken per side).
     reps: usize,
-    /// Best wall-clock seconds under the scalar `f64` bound (the
-    /// pre-envelope fast path).
+    /// Best wall-clock seconds under the scalar bound (the paper's
+    /// `P<`).
     scalar_secs: f64,
     /// Best wall-clock seconds under an equal-bound `per_cycle`
-    /// envelope — must collapse to the same constant-mode ledger.
+    /// envelope — it must give the scalar design byte for byte.
     constant_budget_secs: f64,
     /// Best wall-clock seconds under a stepwise envelope (loose first
-    /// half, the scalar bound after), driving the slack-min tree.
+    /// half, the scalar bound after).
     stepwise_secs: f64,
     /// Whether the constant-envelope design is byte-identical to the
     /// scalar one (it must be).
@@ -724,16 +687,15 @@ struct EnvelopeRecord {
     constant_overhead: f64,
     /// Sum of per-case best stepwise-envelope seconds.
     stepwise_secs: f64,
-    /// Whether every constant-envelope design matched its scalar twin
-    /// byte for byte.
+    /// Whether every constant-envelope design matched its scalar-bound
+    /// design byte for byte.
     outputs_identical: bool,
     /// Per-case breakdown.
     cases: Vec<EnvelopeCaseRecord>,
 }
 
 /// The `envelope-kernel` workload: scalar vs. constant-envelope parity
-/// plus a stepwise-envelope run through the slack-min ledger
-/// (BENCH_5.json).
+/// plus a stepwise-envelope run (BENCH_5.json).
 fn envelope_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     let (cases, reps) = if smoke {
         (
@@ -769,8 +731,8 @@ fn envelope_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         let t = case.constraints.latency;
         let p = case.constraints.max_power();
         let scalar_c = SynthesisConstraints::new(t, p);
-        // Equal bound in every cycle, spelled as an envelope: must be
-        // detected and run on the constant-mode (scalar) ledger.
+        // Equal bound in every cycle, spelled as an envelope: must
+        // synthesize exactly like the scalar bound.
         let constant_c = SynthesisConstraints::new(t, PowerBudget::per_cycle(vec![p; t as usize]));
         // Loose first half, the scalar bound after — a genuine
         // envelope, feasible whenever the scalar point is.
@@ -870,7 +832,7 @@ fn envelope_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     );
     assert!(
         record.outputs_identical,
-        "a constant envelope diverged from the scalar fast path"
+        "a constant envelope diverged from the scalar bound"
     );
     assert!(
         record.cases.iter().all(|c| c.stepwise_feasible),
@@ -882,10 +844,9 @@ fn envelope_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
 /// One per-thread-count curve of the `scaling` workload.
 #[derive(Debug, Serialize)]
 struct ScalingCurve {
-    /// Curve label (`sweep/...` or `kernel/...`).
+    /// Curve label (`sweep/<graph>-T<latency>`).
     name: String,
-    /// Synthesis points per repetition (grid points for the sweep
-    /// fan-out, 1 for the single-synthesis kernel control).
+    /// Synthesis points (grid points) per repetition.
     points: usize,
     /// Timing repetitions (minimum taken per thread count).
     reps: usize,
@@ -920,8 +881,8 @@ struct ScalingRecord {
     /// without a `PCHLS_THREADS` override) — the curve is a single
     /// point and no efficiency claim is made.
     single_point: bool,
-    /// Whether every curve reproduced its 1-thread output at every
-    /// thread count.
+    /// Whether the curve reproduced its 1-thread output at every thread
+    /// count.
     outputs_identical: bool,
     /// The measured curves.
     curves: Vec<ScalingCurve>,
@@ -985,13 +946,12 @@ fn scaling_curve_record(
     }
 }
 
-/// The `scaling` workload: per-thread-count wall-clock curves for the
-/// sweep fan-out and one kernel synthesis (BENCH_6.json). Efficiency
-/// and monotonicity are asserted on the sweep curve (coarse-grained,
-/// one synthesis per work item) whenever more than one thread count is
-/// measurable; the kernel runs serially at every thread count, so its
-/// curve is a flat control with no efficiency promise. Output identity
-/// is asserted on both, always.
+/// The `scaling` workload: the per-thread-count wall-clock curve of the
+/// sweep fan-out (BENCH_6.json). Efficiency and monotonicity are
+/// asserted (coarse-grained, one synthesis per work item) whenever more
+/// than one thread count is measurable; output identity is asserted
+/// always. One synthesis runs on one thread, so the fan-out across
+/// points is the only parallelism there is to time.
 fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let pool = pchls_par::thread_count();
@@ -1008,12 +968,6 @@ fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
     };
     let sweep_graph = benchmarks::hal();
     let sweep_latency = 17u32;
-    let kernel_case = if smoke {
-        random_case(60, 11, 60.0)
-    } else {
-        random_case(120, 12, 60.0)
-    };
-
     let sweep_compiled = engine.compile(&sweep_graph);
     let sweep_session = engine.session(&sweep_compiled);
     let (sweep_wall, sweep_identical) = time_scaling_curve(
@@ -1033,27 +987,6 @@ fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         &thread_counts,
         sweep_wall,
         sweep_identical,
-    );
-
-    let kernel_compiled = engine.compile(&kernel_case.graph);
-    let kernel_session = engine.session(&kernel_compiled);
-    let (kernel_wall, kernel_identical) = time_scaling_curve(
-        &thread_counts,
-        reps,
-        || kernel_session.synthesize(kernel_case.constraints.clone(), opts),
-        |a, b| match (a, b) {
-            (Ok(x), Ok(y)) => x == y && x.stats == y.stats,
-            (Err(_), Err(_)) => true,
-            _ => false,
-        },
-    );
-    let kernel_curve = scaling_curve_record(
-        &format!("kernel/{}", kernel_case.name),
-        1,
-        reps,
-        &thread_counts,
-        kernel_wall,
-        kernel_identical,
     );
 
     println!(
@@ -1078,30 +1011,28 @@ fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
             .join(" ")
     );
     println!("{}", "-".repeat(30 + 10 * thread_counts.len()));
-    for curve in [&sweep_curve, &kernel_curve] {
-        println!(
-            "{:<18} {:>7} | {}",
-            curve.name,
-            curve.points,
-            curve
-                .wall_secs
-                .iter()
-                .map(|w| format!("{w:>8.4}s"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        println!(
-            "{:<18} {:>7} | {}",
-            "",
-            "eff",
-            curve
-                .efficiency
-                .iter()
-                .map(|e| format!("{e:>8.2}x"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-    }
+    println!(
+        "{:<18} {:>7} | {}",
+        sweep_curve.name,
+        sweep_curve.points,
+        sweep_curve
+            .wall_secs
+            .iter()
+            .map(|w| format!("{w:>8.4}s"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
+    println!(
+        "{:<18} {:>7} | {}",
+        "",
+        "eff",
+        sweep_curve
+            .efficiency
+            .iter()
+            .map(|e| format!("{e:>8.2}x"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    );
 
     let record = ScalingRecord {
         schema: "pchls-bench-v1".into(),
@@ -1110,8 +1041,8 @@ fn scaling_workload(smoke: bool, engine: &Engine, opts: &SynthesisOptions) {
         threads: pool,
         thread_counts: thread_counts.clone(),
         single_point,
-        outputs_identical: sweep_curve.outputs_identical && kernel_curve.outputs_identical,
-        curves: vec![sweep_curve, kernel_curve],
+        outputs_identical: sweep_curve.outputs_identical,
+        curves: vec![sweep_curve],
     };
     println!(
         "identical across thread counts: {}",
@@ -2520,6 +2451,34 @@ fn write_record(smoke: bool, name: &str, record: &impl Serialize) {
     eprintln!("wrote {}", path.display());
 }
 
+/// A workload entry point: `(smoke, engine, options)`.
+type Workload = fn(bool, &Engine, &SynthesisOptions);
+
+/// Every workload, by the name that selects it on the command line, in
+/// run order.
+const WORKLOADS: [(&str, Workload); 9] = [
+    ("kernel", kernel_workload),
+    ("amortized", |smoke, _, opts| {
+        amortized_workload(smoke, opts)
+    }),
+    ("service", |smoke, _, opts| service_workload(smoke, opts)),
+    ("envelope", envelope_workload),
+    ("scaling", scaling_workload),
+    ("store", store_workload),
+    ("overload", |smoke, _, opts| overload_workload(smoke, opts)),
+    ("phases", phases_workload),
+    ("edits", edits_workload),
+];
+
+/// The message a failed gate panicked with.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|m| (*m).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic".to_owned())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -2530,49 +2489,31 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
-    let known = [
-        "kernel",
-        "amortized",
-        "service",
-        "envelope",
-        "scaling",
-        "store",
-        "overload",
-        "phases",
-        "edits",
-    ];
+    let known: Vec<&str> = WORKLOADS.iter().map(|&(name, _)| name).collect();
     if let Some(bad) = only.iter().find(|w| !known.contains(w)) {
         eprintln!("unknown workload `{bad}` (expected one of {known:?})");
         std::process::exit(2);
     }
-    let want = |name: &str| only.is_empty() || only.contains(&name);
     let engine = Engine::new(paper_library());
     let opts = SynthesisOptions::default();
-    if want("kernel") {
-        kernel_workload(smoke, &engine, &opts);
+    // A failed gate panics inside its workload; every selected workload
+    // still runs, and the binary fails at the end if any gate did.
+    let mut failed = Vec::new();
+    for (name, run) in WORKLOADS {
+        if !only.is_empty() && !only.contains(&name) {
+            continue;
+        }
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(smoke, &engine, &opts)));
+        if let Err(payload) = outcome {
+            failed.push((name, panic_message(payload.as_ref())));
+        }
     }
-    if want("amortized") {
-        amortized_workload(smoke, &opts);
-    }
-    if want("service") {
-        service_workload(smoke, &opts);
-    }
-    if want("envelope") {
-        envelope_workload(smoke, &engine, &opts);
-    }
-    if want("scaling") {
-        scaling_workload(smoke, &engine, &opts);
-    }
-    if want("store") {
-        store_workload(smoke, &engine, &opts);
-    }
-    if want("overload") {
-        overload_workload(smoke, &opts);
-    }
-    if want("phases") {
-        phases_workload(smoke, &engine, &opts);
-    }
-    if want("edits") {
-        edits_workload(smoke, &engine, &opts);
+    if !failed.is_empty() {
+        eprintln!("\n{} workload(s) failed a gate:", failed.len());
+        for (name, message) in &failed {
+            eprintln!("  {name}: {message}");
+        }
+        std::process::exit(1);
     }
 }

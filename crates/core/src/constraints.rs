@@ -9,9 +9,9 @@ use pchls_sched::PowerBudget;
 /// `P<` or a time-varying [`PowerBudget`] envelope (battery-derived sag,
 /// DVS/thermal phase steps).
 ///
-/// Constructed from a scalar the constraints behave exactly as the
-/// historical `(latency, max_power)` pair did — every layer detects the
-/// constant shape and takes the original code path, bit for bit.
+/// A scalar is the constant envelope: constructed from one, the
+/// constraints behave exactly as the historical `(latency, max_power)`
+/// pair did, however the constant is spelled.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SynthesisConstraints {
     /// Latency bound in clock cycles: every operation must finish by this
@@ -38,19 +38,6 @@ impl SynthesisConstraints {
             latency,
             budget: budget.into(),
         }
-    }
-
-    /// The scalar shim: a constraint pair under the classical constant
-    /// bound `max_power` (may be `f64::INFINITY`). Equivalent to
-    /// `new(latency, max_power)`; kept as an explicit name for call
-    /// sites migrating from the pre-envelope API.
-    ///
-    /// # Panics
-    ///
-    /// As [`new`](SynthesisConstraints::new).
-    #[must_use]
-    pub fn with_max_power(latency: u32, max_power: f64) -> SynthesisConstraints {
-        SynthesisConstraints::new(latency, max_power)
     }
 
     /// A latency-only constraint (`P< = ∞`).
@@ -99,7 +86,7 @@ mod tests {
     fn scalar_and_shim_constructors_agree() {
         assert_eq!(
             SynthesisConstraints::new(10, 25.0),
-            SynthesisConstraints::with_max_power(10, 25.0)
+            SynthesisConstraints::new(10, PowerBudget::constant(25.0))
         );
         assert_eq!(SynthesisConstraints::new(10, 25.0).max_power(), 25.0);
     }

@@ -138,11 +138,11 @@ impl SynthesizedDesign {
     /// Returns the first violated invariant.
     pub fn validate(&self, graph: &Cdfg, library: &ModuleLibrary) -> Result<(), SynthesisError> {
         self.schedule
-            .validate_budget(
+            .validate(
                 graph,
                 &self.timing,
                 Some(self.constraints.latency),
-                &self.constraints.budget,
+                Some(&self.constraints.budget),
             )
             .map_err(SynthesisError::Schedule)?;
         self.binding

@@ -17,11 +17,10 @@
 //!   (e.g. derived from a battery model's sag curve — see
 //!   `pchls_battery::budget_from_model`).
 //!
-//! A constant budget — whether built by [`PowerBudget::constant`] or as
-//! a degenerate steps/per-cycle envelope whose bounds are all equal —
-//! is detected by [`PowerLedger::with_budget`](crate::PowerLedger) and
-//! takes the original scalar code path, so scalar-constrained synthesis
-//! is byte-identical to what it was before envelopes existed.
+//! Every scheduler takes a `&PowerBudget`; the scalar bound is simply
+//! the constant envelope, and every spelling of a constant — however
+//! many equal steps or per-cycle entries — builds the same
+//! [`PowerLedger`](crate::PowerLedger) and so the same schedules.
 
 use serde::{Deserialize, Serialize};
 
@@ -170,7 +169,7 @@ impl PowerBudget {
     /// against. For bounds that extend past the horizon (a long
     /// per-cycle vector, a step at or beyond it) this is tighter than
     /// [`peak`](PowerBudget::peak), and it is the value
-    /// [`PowerLedger::with_budget`](crate::PowerLedger::with_budget)
+    /// [`PowerLedger::new`](crate::PowerLedger::new)
     /// materializes: quick-reject tests must use this form or they
     /// disagree with the ledger about what can ever fit. A zero
     /// horizon reports the opening bound.
@@ -263,8 +262,8 @@ impl PowerBudget {
     /// cycle of the horizon becomes [`PowerBudget::Constant`], anything
     /// else is returned as written. Semantics within the horizon are
     /// unchanged — this exists so long-running consumers (the synthesis
-    /// kernel constructs thousands of ledgers per run) can pay the
-    /// constant-detection scan once instead of per ledger.
+    /// kernel constructs thousands of ledgers per run) materialize and
+    /// mirror the cheapest spelling of the budget.
     #[must_use]
     pub fn normalized(&self, horizon: u32) -> PowerBudget {
         if self.as_constant().is_some() {
@@ -282,8 +281,7 @@ impl PowerBudget {
     /// `c` maps to reversed cycle `horizon - 1 - c`. This is what
     /// `palap` runs against — the power-constrained ALAP schedules the
     /// reversed graph, so its ledger must see the mirrored bounds.
-    /// Constant budgets reverse to themselves (keeping the scalar fast
-    /// path).
+    /// Constant budgets reverse to themselves.
     #[must_use]
     pub fn reversed(&self, horizon: u32) -> PowerBudget {
         match self {
@@ -539,7 +537,7 @@ mod tests {
         assert_eq!(b.bound_at(0), 0.0);
         assert_eq!(b.bound_at(4), 0.0);
         // A scaled budget always builds a ledger without panicking.
-        let _ = crate::PowerLedger::with_budget(8, &b);
+        let _ = crate::PowerLedger::new(8, &b);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use pchls_cdfg::{Cdfg, NodeId};
 
+use crate::budget::PowerBudget;
 use crate::power::{PowerLedger, POWER_EPS};
 use crate::timing::TimingMap;
 
@@ -89,7 +90,8 @@ pub fn minimal_latency_exact(
     let lower = cp_bound.max(energy_bound);
 
     // Start from the pasap solution as the incumbent upper bound.
-    let best = crate::pasap::pasap(graph, timing, max_power, limits.max_latency)
+    let scalar = PowerBudget::constant(max_power);
+    let best = crate::pasap::pasap(graph, timing, &scalar, limits.max_latency)
         .map(|s| s.latency(timing))
         .unwrap_or(limits.max_latency + 1);
     if best == lower {
@@ -100,7 +102,7 @@ pub fn minimal_latency_exact(
     // try every start from data-ready upward while the bounds allow.
     let order: Vec<NodeId> = graph.topological().to_vec();
     let starts = vec![0u32; n];
-    let ledger = PowerLedger::new(limits.max_latency, max_power);
+    let ledger = PowerLedger::new(limits.max_latency, &scalar);
     let budget = limits.max_nodes;
 
     // Remaining energy after each depth (energy of all ops at or beyond
@@ -240,7 +242,9 @@ mod tests {
         for (g, bounds) in cases {
             let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
             for bound in bounds {
-                let heuristic = pasap(&g, &t, bound, 200).unwrap().latency(&t);
+                let heuristic = pasap(&g, &t, &PowerBudget::constant(bound), 200)
+                    .unwrap()
+                    .latency(&t);
                 let exact = minimal_latency_exact(&g, &t, bound, ExactLimits::default())
                     .unwrap_or_else(|| panic!("{} at {bound} should complete", g.name()));
                 assert!(
@@ -270,7 +274,9 @@ mod tests {
         for (g, bounds) in cases {
             let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
             for bound in bounds {
-                let heuristic = pasap(&g, &t, bound, 200).unwrap().latency(&t);
+                let heuristic = pasap(&g, &t, &PowerBudget::constant(bound), 200)
+                    .unwrap()
+                    .latency(&t);
                 let exact = minimal_latency_exact(&g, &t, bound, ExactLimits::default()).unwrap();
                 assert_eq!(
                     heuristic,

@@ -8,6 +8,10 @@
 //!   if power is available* over their whole execution interval,
 //!   otherwise they are delayed cycle by cycle ("stretching" the
 //!   schedule to fit under the per-cycle power budget).
+//!
+//! Every power-constrained entry point takes one [`PowerBudget`]: the
+//! paper's scalar `P<` is [`PowerBudget::constant`], and time-varying
+//! envelopes use the same code path.
 //! * [`list_schedule`] — resource-constrained list scheduling (baseline).
 //! * [`force_directed`] — Paulin/Knight force-directed scheduling
 //!   (baseline).
@@ -26,7 +30,7 @@
 //! ```
 //! use pchls_cdfg::benchmarks::hal;
 //! use pchls_fulib::{paper_library, SelectionPolicy};
-//! use pchls_sched::{asap, pasap, PowerProfile, TimingMap};
+//! use pchls_sched::{asap, pasap, PowerBudget, PowerProfile, TimingMap};
 //!
 //! # fn main() -> Result<(), pchls_sched::ScheduleError> {
 //! let g = hal();
@@ -36,7 +40,7 @@
 //! let unconstrained = asap(&g, &timing);
 //! let peak = PowerProfile::of(&unconstrained, &timing).peak();
 //!
-//! let capped = pasap(&g, &timing, peak / 2.0, 100)?;
+//! let capped = pasap(&g, &timing, &PowerBudget::constant(peak / 2.0), 100)?;
 //! let capped_peak = PowerProfile::of(&capped, &timing).peak();
 //! assert!(capped_peak <= peak / 2.0 + 1e-9);
 //! # Ok(())
@@ -66,13 +70,10 @@ pub use budget::PowerBudget;
 pub use error::ScheduleError;
 pub use exact::{minimal_latency_exact, ExactLimits};
 pub use fds::{force_directed, force_directed_with};
-pub use list::{latency_lower_bound, list_schedule, list_schedule_budget, Allocation};
+pub use list::{latency_lower_bound, list_schedule, Allocation};
 pub use mobility::Mobility;
-pub use pasap::{
-    palap, palap_budget, palap_locked, palap_locked_budget, pasap, pasap_budget, pasap_locked,
-    pasap_locked_budget, LockedStarts,
-};
+pub use pasap::{palap, palap_locked, pasap, pasap_locked, LockedStarts};
 pub use power::{NaivePowerLedger, PowerLedger, PowerProfile};
 pub use schedule::Schedule;
 pub use timing::{OpTiming, TimingMap};
-pub use twostep::{two_step, two_step_budget, TwoStepOutcome};
+pub use twostep::{two_step, TwoStepOutcome};

@@ -60,54 +60,27 @@ impl Allocation {
 }
 
 /// Priority-list scheduling under a module assignment, an instance
-/// allocation and (optionally) a per-cycle power budget.
+/// allocation and a per-cycle power budget.
 ///
 /// Every node executes on the module given by `modules[node]`; at most
 /// `allocation.count(m)` operations bound to module type `m` may overlap,
-/// and — when `max_power` is finite — the per-cycle power sum never
-/// exceeds the budget. Ready operations are prioritized by longest path
-/// to a sink (critical-path list scheduling).
+/// and the per-cycle power sum never exceeds that cycle's bound of
+/// `budget` (an unbounded budget disables the check). Ready operations
+/// are prioritized by longest path to a sink (critical-path list
+/// scheduling).
 ///
 /// # Errors
 ///
 /// * [`ScheduleError::MissingResource`] if some node's module has a zero
 ///   instance count.
 /// * [`ScheduleError::OpExceedsBudget`] if one operation alone exceeds
-///   `max_power`.
+///   the budget's peak bound.
 ///
 /// # Panics
 ///
 /// Panics if `modules` is not one entry per node or assigns a module that
 /// cannot execute the node's kind.
 pub fn list_schedule(
-    graph: &Cdfg,
-    library: &ModuleLibrary,
-    modules: &[ModuleId],
-    allocation: &Allocation,
-    max_power: f64,
-) -> Result<Schedule, ScheduleError> {
-    list_schedule_budget(
-        graph,
-        library,
-        modules,
-        allocation,
-        &PowerBudget::constant(max_power),
-    )
-}
-
-/// [`list_schedule`] under a time-varying [`PowerBudget`] envelope: the
-/// per-cycle sum is checked against each cycle's own bound. A constant
-/// budget reproduces [`list_schedule`] bit for bit.
-///
-/// # Errors
-///
-/// As [`list_schedule`]; `OpExceedsBudget` fires only when an
-/// operation's power exceeds the envelope's **peak** bound.
-///
-/// # Panics
-///
-/// As [`list_schedule`].
-pub fn list_schedule_budget(
     graph: &Cdfg,
     library: &ModuleLibrary,
     modules: &[ModuleId],
@@ -147,7 +120,7 @@ pub fn list_schedule_budget(
         .map(|id| timing.delay(id))
         .sum::<u32>()
         .max(1);
-    let mut ledger = PowerLedger::with_budget(horizon, budget);
+    let mut ledger = PowerLedger::new(horizon, budget);
     // The can-never-fit pre-check compares against the peak *within the
     // reachable horizon* (the value the ledger materialized) — a loose
     // phase past every schedulable cycle must not mask the error.
@@ -273,7 +246,7 @@ mod tests {
         for g in benchmarks::all() {
             let ms = assignment(&g, &lib, SelectionPolicy::Fastest);
             let alloc = full_allocation(&lib, 64);
-            let s = list_schedule(&g, &lib, &ms, &alloc, f64::INFINITY).unwrap();
+            let s = list_schedule(&g, &lib, &ms, &alloc, &PowerBudget::unbounded()).unwrap();
             let t = TimingMap::from_modules(&g, &lib, &ms);
             let cp = CriticalPath::new(&g, |id| t.delay(id)).length();
             assert_eq!(s.latency(&t), cp, "{}", g.name());
@@ -287,7 +260,7 @@ mod tests {
         let g = benchmarks::hal();
         let ms = assignment(&g, &lib, SelectionPolicy::Fastest);
         let alloc = full_allocation(&lib, 1);
-        let s = list_schedule(&g, &lib, &ms, &alloc, f64::INFINITY).unwrap();
+        let s = list_schedule(&g, &lib, &ms, &alloc, &PowerBudget::unbounded()).unwrap();
         let t = TimingMap::from_modules(&g, &lib, &ms);
         s.validate(&g, &t, None, None).unwrap();
         // 6 multiplications on one 2-cycle multiplier = at least 12 cycles.
@@ -314,9 +287,10 @@ mod tests {
         let g = benchmarks::hal();
         let ms = assignment(&g, &lib, SelectionPolicy::Fastest);
         let alloc = full_allocation(&lib, 8);
-        let s = list_schedule(&g, &lib, &ms, &alloc, 10.0).unwrap();
+        let s = list_schedule(&g, &lib, &ms, &alloc, &PowerBudget::constant(10.0)).unwrap();
         let t = TimingMap::from_modules(&g, &lib, &ms);
-        s.validate(&g, &t, None, Some(10.0)).unwrap();
+        s.validate(&g, &t, None, Some(&PowerBudget::constant(10.0)))
+            .unwrap();
     }
 
     #[test]
@@ -326,7 +300,7 @@ mod tests {
         let ms = assignment(&g, &lib, SelectionPolicy::Fastest);
         let mut alloc = full_allocation(&lib, 4);
         alloc.set(lib.by_name("mult_par").unwrap(), 0);
-        let err = list_schedule(&g, &lib, &ms, &alloc, f64::INFINITY).unwrap_err();
+        let err = list_schedule(&g, &lib, &ms, &alloc, &PowerBudget::unbounded()).unwrap_err();
         assert!(matches!(err, ScheduleError::MissingResource { .. }));
     }
 
@@ -338,7 +312,7 @@ mod tests {
             for count in [1, 2, 4] {
                 let alloc = full_allocation(&lib, count);
                 let bound = latency_lower_bound(&g, &lib, &ms, &alloc);
-                let s = list_schedule(&g, &lib, &ms, &alloc, f64::INFINITY).unwrap();
+                let s = list_schedule(&g, &lib, &ms, &alloc, &PowerBudget::unbounded()).unwrap();
                 let t = TimingMap::from_modules(&g, &lib, &ms);
                 assert!(
                     s.latency(&t) >= bound,

@@ -4,6 +4,7 @@ use pchls_cdfg::{Cdfg, NodeId};
 
 use crate::alap::alap;
 use crate::asap::asap;
+use crate::budget::PowerBudget;
 use crate::error::ScheduleError;
 use crate::pasap::{palap, pasap};
 use crate::schedule::Schedule;
@@ -36,10 +37,10 @@ impl Mobility {
         })
     }
 
-    /// Power-aware mobility: `pasap`/`palap` windows. When the reversed
-    /// heuristic fails where the forward one succeeds, the window
-    /// degrades to zero mobility at the `pasap` position (both heuristics
-    /// are greedy; see the `pasap` module docs).
+    /// Power-aware mobility: `pasap`/`palap` windows under `budget`.
+    /// When the reversed heuristic fails where the forward one succeeds,
+    /// the window degrades to zero mobility at the `pasap` position (both
+    /// heuristics are greedy; see the `pasap` module docs).
     ///
     /// # Errors
     ///
@@ -48,29 +49,10 @@ impl Mobility {
         graph: &Cdfg,
         timing: &TimingMap,
         latency: u32,
-        max_power: f64,
+        budget: &PowerBudget,
     ) -> Result<Mobility, ScheduleError> {
-        let early = pasap(graph, timing, max_power, latency)?;
-        let late = palap(graph, timing, max_power, latency).unwrap_or_else(|_| early.clone());
-        Ok(Mobility { early, late })
-    }
-
-    /// [`power_aware`](Mobility::power_aware) under a time-varying
-    /// [`PowerBudget`](crate::PowerBudget) envelope; a constant budget
-    /// reproduces the scalar variant exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `pasap_budget`'s infeasibility.
-    pub fn power_aware_budget(
-        graph: &Cdfg,
-        timing: &TimingMap,
-        latency: u32,
-        budget: &crate::PowerBudget,
-    ) -> Result<Mobility, ScheduleError> {
-        let early = crate::pasap_budget(graph, timing, budget, latency)?;
-        let late =
-            crate::palap_budget(graph, timing, budget, latency).unwrap_or_else(|_| early.clone());
+        let early = pasap(graph, timing, budget, latency)?;
+        let late = palap(graph, timing, budget, latency).unwrap_or_else(|_| early.clone());
         Ok(Mobility { early, late })
     }
 
@@ -160,8 +142,8 @@ mod tests {
     #[test]
     fn power_aware_windows_shrink_under_pressure() {
         let (g, t) = setup();
-        let free = Mobility::power_aware(&g, &t, 20, f64::INFINITY).unwrap();
-        let tight = Mobility::power_aware(&g, &t, 20, 12.0).unwrap();
+        let free = Mobility::power_aware(&g, &t, 20, &PowerBudget::unbounded()).unwrap();
+        let tight = Mobility::power_aware(&g, &t, 20, &PowerBudget::constant(12.0)).unwrap();
         let total_free: u32 = g.node_ids().map(|id| free.slack(id)).sum();
         let total_tight: u32 = g.node_ids().map(|id| tight.slack(id)).sum();
         assert!(
@@ -173,27 +155,25 @@ mod tests {
     #[test]
     fn power_aware_budget_matches_scalar_for_constant_budgets() {
         let (g, t) = setup();
-        let scalar = Mobility::power_aware(&g, &t, 20, 12.0).unwrap();
-        let budget =
-            Mobility::power_aware_budget(&g, &t, 20, &crate::PowerBudget::constant(12.0)).unwrap();
-        for id in g.node_ids() {
-            assert_eq!(budget.window(id), scalar.window(id), "{id}");
-        }
+        let scalar = Mobility::power_aware(&g, &t, 20, &PowerBudget::constant(12.0)).unwrap();
+        let steps = PowerBudget::steps(vec![(0, 12.0), (9, 12.0)]);
+        let budget = Mobility::power_aware(&g, &t, 20, &steps).unwrap();
+        assert_eq!(budget, scalar);
     }
 
     #[test]
     fn power_aware_budget_windows_respect_the_envelope() {
         let (g, t) = setup();
-        let budget = crate::PowerBudget::steps(vec![(0, 40.0), (10, 9.0)]);
-        let m = Mobility::power_aware_budget(&g, &t, 20, &budget).unwrap();
+        let budget = PowerBudget::steps(vec![(0, 40.0), (10, 9.0)]);
+        let m = Mobility::power_aware(&g, &t, 20, &budget).unwrap();
         // Both window ends are genuine schedules under the envelope.
-        m.earliest().validate_budget(&g, &t, None, &budget).unwrap();
+        m.earliest().validate(&g, &t, None, Some(&budget)).unwrap();
         m.latest()
-            .validate_budget(&g, &t, Some(20), &budget)
+            .validate(&g, &t, Some(20), Some(&budget))
             .unwrap();
         // An infeasible envelope propagates pasap's error.
-        let hopeless = crate::PowerBudget::constant(1.0);
-        assert!(Mobility::power_aware_budget(&g, &t, 20, &hopeless).is_err());
+        let hopeless = PowerBudget::constant(1.0);
+        assert!(Mobility::power_aware(&g, &t, 20, &hopeless).is_err());
     }
 
     #[test]

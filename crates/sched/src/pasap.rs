@@ -82,45 +82,22 @@ impl LockedStarts {
 ///
 /// Operations are considered in dependence order and placed at the
 /// earliest start `≥` their data-ready time whose execution interval fits
-/// under `max_power` in every cycle, searching up to `horizon`.
+/// under *each covered cycle's* bound of `budget`, searching up to
+/// `horizon`. A constant budget is the paper's scalar `P<`.
 ///
 /// # Errors
 ///
 /// * [`ScheduleError::OpExceedsBudget`] if one operation alone exceeds
-///   `max_power` (no schedule can exist).
+///   the budget's peak bound within `horizon` (no schedule can exist).
 /// * [`ScheduleError::Infeasible`] if some operation cannot be placed
 ///   within `horizon`.
 pub fn pasap(
     graph: &Cdfg,
     timing: &TimingMap,
-    max_power: f64,
-    horizon: u32,
-) -> Result<Schedule, ScheduleError> {
-    pasap_locked(
-        graph,
-        timing,
-        max_power,
-        horizon,
-        &LockedStarts::none(graph.len()),
-    )
-}
-
-/// [`pasap`] under a time-varying [`PowerBudget`] envelope: each cycle
-/// of an operation's execution interval must fit under *that cycle's*
-/// bound. A constant budget reproduces [`pasap`] bit for bit.
-///
-/// # Errors
-///
-/// As [`pasap`]; `OpExceedsBudget` fires only when an operation's power
-/// exceeds the envelope's **peak** bound (it could fit in no cycle at
-/// all).
-pub fn pasap_budget(
-    graph: &Cdfg,
-    timing: &TimingMap,
     budget: &PowerBudget,
     horizon: u32,
 ) -> Result<Schedule, ScheduleError> {
-    pasap_locked_budget(
+    pasap_locked(
         graph,
         timing,
         budget,
@@ -145,27 +122,6 @@ pub fn pasap_budget(
 /// [`ScheduleError::PowerExceeded`] when the locked operations alone
 /// overflow the budget.
 pub fn pasap_locked(
-    graph: &Cdfg,
-    timing: &TimingMap,
-    max_power: f64,
-    horizon: u32,
-    locked: &LockedStarts,
-) -> Result<Schedule, ScheduleError> {
-    pasap_locked_budget(
-        graph,
-        timing,
-        &PowerBudget::constant(max_power),
-        horizon,
-        locked,
-    )
-}
-
-/// [`pasap_locked`] under a [`PowerBudget`] envelope.
-///
-/// # Errors
-///
-/// As [`pasap_locked`].
-pub fn pasap_locked_budget(
     graph: &Cdfg,
     timing: &TimingMap,
     budget: &PowerBudget,
@@ -197,31 +153,10 @@ pub fn pasap_locked_budget(
 pub fn palap(
     graph: &Cdfg,
     timing: &TimingMap,
-    max_power: f64,
-    latency: u32,
-) -> Result<Schedule, ScheduleError> {
-    palap_locked(
-        graph,
-        timing,
-        max_power,
-        latency,
-        &LockedStarts::none(graph.len()),
-    )
-}
-
-/// [`palap`] under a [`PowerBudget`] envelope. A constant budget
-/// reproduces [`palap`] bit for bit.
-///
-/// # Errors
-///
-/// As [`palap`].
-pub fn palap_budget(
-    graph: &Cdfg,
-    timing: &TimingMap,
     budget: &PowerBudget,
     latency: u32,
 ) -> Result<Schedule, ScheduleError> {
-    palap_locked_budget(
+    palap_locked(
         graph,
         timing,
         budget,
@@ -233,38 +168,15 @@ pub fn palap_budget(
 /// Power-constrained ALAP honouring locked start times.
 ///
 /// Implemented by running the `pasap` placement on the time-reversed
-/// graph: a forward interval `[s, s+d)` corresponds to the reversed
-/// interval `[latency-s-d, latency-s)`, so locks and power reservations
-/// mirror exactly.
+/// graph against the **time-mirrored** envelope
+/// ([`PowerBudget::reversed`]): a forward interval `[s, s+d)` corresponds
+/// to the reversed interval `[latency-s-d, latency-s)`, so locks, power
+/// reservations and each cycle's bound mirror exactly.
 ///
 /// # Errors
 ///
 /// As [`pasap_locked`].
 pub fn palap_locked(
-    graph: &Cdfg,
-    timing: &TimingMap,
-    max_power: f64,
-    latency: u32,
-    locked: &LockedStarts,
-) -> Result<Schedule, ScheduleError> {
-    palap_locked_budget(
-        graph,
-        timing,
-        &PowerBudget::constant(max_power),
-        latency,
-        locked,
-    )
-}
-
-/// [`palap_locked`] under a [`PowerBudget`] envelope: the reversed
-/// placement runs against the **time-mirrored** envelope
-/// ([`PowerBudget::reversed`]), so a forward cycle's bound constrains
-/// exactly the reversed cycle it maps to.
-///
-/// # Errors
-///
-/// As [`pasap_locked`].
-pub fn palap_locked_budget(
     graph: &Cdfg,
     timing: &TimingMap,
     budget: &PowerBudget,
@@ -342,10 +254,10 @@ fn schedule_directed<'a>(
     horizon: u32,
     locked: impl Fn(NodeId) -> Option<u32>,
 ) -> Result<Vec<u32>, ScheduleError> {
-    let mut ledger = PowerLedger::with_budget(horizon, budget);
+    let mut ledger = PowerLedger::new(horizon, budget);
     // The scalar every error message (and the can-never-fit test)
-    // compares against: the bound itself in constant mode, the
-    // envelope's peak otherwise.
+    // compares against: the envelope's peak within the horizon (the
+    // bound itself for a constant budget).
     let max_power = ledger.max_power();
     let mut starts = vec![0u32; len];
     let order: Vec<NodeId> = order.collect();
@@ -462,7 +374,7 @@ mod tests {
         for g in benchmarks::all() {
             let t = TimingMap::from_policy(&g, &paper_library(), SelectionPolicy::Fastest);
             let baseline = asap(&g, &t);
-            let p = pasap(&g, &t, f64::INFINITY, 1000).unwrap();
+            let p = pasap(&g, &t, &PowerBudget::unbounded(), 1000).unwrap();
             assert_eq!(p, baseline, "{}", g.name());
         }
     }
@@ -476,8 +388,9 @@ mod tests {
             if bound < t.max_single_op_power() {
                 continue;
             }
-            let s = pasap(&g, &t, bound, 500).unwrap();
-            s.validate(&g, &t, None, Some(bound)).unwrap();
+            let s = pasap(&g, &t, &PowerBudget::constant(bound), 500).unwrap();
+            s.validate(&g, &t, None, Some(&PowerBudget::constant(bound)))
+                .unwrap();
         }
     }
 
@@ -486,7 +399,7 @@ mod tests {
         let (g, t) = hal_timing();
         let mut last = 0;
         for bound in [100.0, 40.0, 20.0, 12.0, 9.0] {
-            let s = pasap(&g, &t, bound, 500).unwrap();
+            let s = pasap(&g, &t, &PowerBudget::constant(bound), 500).unwrap();
             let lat = s.latency(&t);
             assert!(lat >= last, "bound {bound}: latency {lat} < {last}");
             last = lat;
@@ -496,14 +409,14 @@ mod tests {
     #[test]
     fn sub_single_op_budget_is_hopeless() {
         let (g, t) = hal_timing();
-        let err = pasap(&g, &t, 5.0, 500).unwrap_err(); // mult_par needs 8.1
+        let err = pasap(&g, &t, &PowerBudget::constant(5.0), 500).unwrap_err(); // mult_par needs 8.1
         assert!(matches!(err, ScheduleError::OpExceedsBudget { .. }));
     }
 
     #[test]
     fn tiny_horizon_is_infeasible() {
         let (g, t) = hal_timing();
-        let err = pasap(&g, &t, 9.0, 6).unwrap_err();
+        let err = pasap(&g, &t, &PowerBudget::constant(9.0), 6).unwrap_err();
         assert!(matches!(err, ScheduleError::Infeasible { .. }));
     }
 
@@ -511,8 +424,9 @@ mod tests {
     fn palap_respects_latency_and_power() {
         let (g, t) = hal_timing();
         for (bound, latency) in [(f64::INFINITY, 8), (12.0, 16), (9.0, 20)] {
-            let s = palap(&g, &t, bound, latency).unwrap();
-            s.validate(&g, &t, Some(latency), Some(bound)).unwrap();
+            let s = palap(&g, &t, &PowerBudget::constant(bound), latency).unwrap();
+            s.validate(&g, &t, Some(latency), Some(&PowerBudget::constant(bound)))
+                .unwrap();
         }
     }
 
@@ -525,8 +439,8 @@ mod tests {
         // end as soft for exactly this reason).
         let (g, t) = hal_timing();
         let latency = 16;
-        let early = pasap(&g, &t, f64::INFINITY, latency).unwrap();
-        let late = palap(&g, &t, f64::INFINITY, latency).unwrap();
+        let early = pasap(&g, &t, &PowerBudget::unbounded(), latency).unwrap();
+        let late = palap(&g, &t, &PowerBudget::unbounded(), latency).unwrap();
         for id in g.node_ids() {
             assert!(
                 early.start(id) <= late.start(id),
@@ -541,7 +455,7 @@ mod tests {
     fn palap_with_infinite_power_matches_alap() {
         let (g, t) = hal_timing();
         let latency = 12;
-        let p = palap(&g, &t, f64::INFINITY, latency).unwrap();
+        let p = palap(&g, &t, &PowerBudget::unbounded(), latency).unwrap();
         let a = crate::alap::alap(&g, &t, latency).unwrap();
         assert_eq!(p, a);
     }
@@ -550,13 +464,14 @@ mod tests {
     fn locked_ops_stay_put() {
         let (g, t) = hal_timing();
         let victim = g.topological()[5];
-        let base = pasap(&g, &t, 12.0, 100).unwrap();
+        let base = pasap(&g, &t, &PowerBudget::constant(12.0), 100).unwrap();
         let shifted = base.start(victim) + 3;
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, shifted);
-        let s = pasap_locked(&g, &t, 12.0, 100, &locked).unwrap();
+        let s = pasap_locked(&g, &t, &PowerBudget::constant(12.0), 100, &locked).unwrap();
         assert_eq!(s.start(victim), shifted);
-        s.validate(&g, &t, None, Some(12.0)).unwrap();
+        s.validate(&g, &t, None, Some(&PowerBudget::constant(12.0)))
+            .unwrap();
     }
 
     #[test]
@@ -566,7 +481,7 @@ mod tests {
         let out = g.outputs().next().unwrap().id();
         let mut locked = LockedStarts::none(g.len());
         locked.lock(out, 0);
-        let err = pasap_locked(&g, &t, f64::INFINITY, 100, &locked).unwrap_err();
+        let err = pasap_locked(&g, &t, &PowerBudget::unbounded(), 100, &locked).unwrap_err();
         assert!(matches!(err, ScheduleError::PrecedenceViolated { .. }));
     }
 
@@ -585,7 +500,7 @@ mod tests {
         let mut locked = LockedStarts::none(g.len());
         locked.lock(muls[0], 1);
         locked.lock(muls[1], 1);
-        let err = pasap_locked(&g, &t, 10.0, 100, &locked).unwrap_err();
+        let err = pasap_locked(&g, &t, &PowerBudget::constant(10.0), 100, &locked).unwrap_err();
         assert!(matches!(err, ScheduleError::PowerExceeded { .. }));
     }
 
@@ -606,13 +521,14 @@ mod tests {
     fn palap_locked_identity_lock_is_preserved() {
         let (g, t) = hal_timing();
         let latency = 16;
-        let base = palap(&g, &t, 12.0, latency).unwrap();
+        let base = palap(&g, &t, &PowerBudget::constant(12.0), latency).unwrap();
         let victim = g.topological()[4];
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, base.start(victim));
-        let s = palap_locked(&g, &t, 12.0, latency, &locked).unwrap();
+        let s = palap_locked(&g, &t, &PowerBudget::constant(12.0), latency, &locked).unwrap();
         assert_eq!(s.start(victim), base.start(victim));
-        s.validate(&g, &t, Some(latency), Some(12.0)).unwrap();
+        s.validate(&g, &t, Some(latency), Some(&PowerBudget::constant(12.0)))
+            .unwrap();
     }
 
     #[test]
@@ -620,12 +536,12 @@ mod tests {
         let (g, t) = hal_timing();
         let latency = 12; // critical path is 8, so inputs have mobility
         let victim = g.inputs().next().unwrap().id();
-        let base = palap(&g, &t, f64::INFINITY, latency).unwrap();
+        let base = palap(&g, &t, &PowerBudget::unbounded(), latency).unwrap();
         assert!(base.start(victim) >= 1, "victim has mobility");
         let target = base.start(victim) - 1;
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, target);
-        let s = palap_locked(&g, &t, f64::INFINITY, latency, &locked).unwrap();
+        let s = palap_locked(&g, &t, &PowerBudget::unbounded(), latency, &locked).unwrap();
         assert_eq!(s.start(victim), target);
         s.validate(&g, &t, Some(latency), None).unwrap();
     }
@@ -636,22 +552,30 @@ mod tests {
         let victim = g.outputs().next().unwrap().id();
         let mut locked = LockedStarts::none(g.len());
         locked.lock(victim, 100);
-        let err = palap_locked(&g, &t, f64::INFINITY, 12, &locked).unwrap_err();
+        let err = palap_locked(&g, &t, &PowerBudget::unbounded(), 12, &locked).unwrap_err();
         assert!(matches!(err, ScheduleError::Infeasible { .. }));
     }
 
     #[test]
     fn budget_variants_reproduce_the_scalar_path_for_constant_budgets() {
+        // Every spelling of a constant bound schedules exactly like the
+        // paper's scalar `P<`.
         let (g, t) = hal_timing();
-        let budget = PowerBudget::constant(12.0);
-        assert_eq!(
-            pasap_budget(&g, &t, &budget, 100).unwrap(),
-            pasap(&g, &t, 12.0, 100).unwrap()
-        );
-        assert_eq!(
-            palap_budget(&g, &t, &budget, 16).unwrap(),
-            palap(&g, &t, 12.0, 16).unwrap()
-        );
+        let scalar = PowerBudget::constant(12.0);
+        for budget in [
+            PowerBudget::steps(vec![(0, 12.0)]),
+            PowerBudget::steps(vec![(0, 12.0), (7, 12.0)]),
+            PowerBudget::per_cycle(vec![12.0; 30]),
+        ] {
+            assert_eq!(
+                pasap(&g, &t, &budget, 100).unwrap(),
+                pasap(&g, &t, &scalar, 100).unwrap()
+            );
+            assert_eq!(
+                palap(&g, &t, &budget, 16).unwrap(),
+                palap(&g, &t, &scalar, 16).unwrap()
+            );
+        }
     }
 
     #[test]
@@ -661,9 +585,9 @@ mod tests {
         // open afterwards: the schedule must shift its heavy cycles past
         // the breakpoint, unlike the scalar run at the loose bound.
         let budget = PowerBudget::steps(vec![(0, 9.0), (6, 100.0)]);
-        let s = pasap_budget(&g, &t, &budget, 200).unwrap();
-        s.validate_budget(&g, &t, None, &budget).unwrap();
-        let loose = pasap(&g, &t, 100.0, 200).unwrap();
+        let s = pasap(&g, &t, &budget, 200).unwrap();
+        s.validate(&g, &t, None, Some(&budget)).unwrap();
+        let loose = pasap(&g, &t, &PowerBudget::constant(100.0), 200).unwrap();
         assert_ne!(
             s, loose,
             "the tight opening phase must reshape the schedule"
@@ -697,7 +621,7 @@ mod tests {
         let budget = PowerBudget::steps(vec![(0, 40.0), (5, 15.0)]);
         let mut locked = LockedStarts::none(g.len());
         locked.lock(g.topological()[0], 0);
-        let err = pasap_locked_budget(&g, &t, &budget, 20, &locked).unwrap_err();
+        let err = pasap_locked(&g, &t, &budget, 20, &locked).unwrap_err();
         match err {
             ScheduleError::PowerExceeded {
                 cycle,
@@ -720,7 +644,7 @@ mod tests {
         // opening — this only works if the envelope is time-mirrored.
         let budget = PowerBudget::steps(vec![(0, 40.0), (10, 9.0)]);
         let latency = 16;
-        let s = palap_budget(&g, &t, &budget, latency).unwrap();
-        s.validate_budget(&g, &t, Some(latency), &budget).unwrap();
+        let s = palap(&g, &t, &budget, latency).unwrap();
+        s.validate(&g, &t, Some(latency), Some(&budget)).unwrap();
     }
 }

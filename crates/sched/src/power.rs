@@ -12,32 +12,6 @@ use pchls_cdfg::NodeId;
 /// a bound, so that summation order cannot flip a feasibility decision.
 pub(crate) const POWER_EPS: f64 = 1e-9;
 
-/// Materializes `budget` over `horizon`, collapsing to `Ok(bound)` when
-/// every cycle's bound is **bit-identical** (an empty horizon collapses
-/// to the opening bound — with zero leaves the value is never read).
-/// This is the one collapse rule shared by [`PowerLedger`] and
-/// [`NaivePowerLedger`], so the fast ledger and the differential-test
-/// reference can never disagree about which mode a budget selects. The
-/// `Err` carries the per-cycle bounds plus their peak.
-#[allow(clippy::type_complexity)]
-fn materialize_or_constant(budget: &PowerBudget, horizon: u32) -> Result<f64, (Vec<f64>, f64)> {
-    // Constant-collapsing budgets are the hot case (every scalar
-    // constraint, once per scheduler invocation), so detect them
-    // without materializing: no allocation on the fast path.
-    if horizon == 0 {
-        return Ok(budget.bound_at(0));
-    }
-    let first = budget.bound_at(0);
-    if budget.as_constant().is_some()
-        || (1..horizon).all(|c| budget.bound_at(c).to_bits() == first.to_bits())
-    {
-        return Ok(first);
-    }
-    let bounds = budget.materialize(horizon);
-    let peak = bounds.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    Err((bounds, peak))
-}
-
 /// The power drawn in every clock cycle of a schedule.
 ///
 /// This is the quantity Figure 1 of the paper plots: the per-cycle profile
@@ -114,23 +88,11 @@ impl PowerProfile {
         }
     }
 
-    /// The first cycle whose power exceeds `bound` (with tolerance), if
-    /// any, together with the power drawn there.
-    #[must_use]
-    pub fn first_violation(&self, bound: f64) -> Option<(u32, f64)> {
-        self.per_cycle
-            .iter()
-            .enumerate()
-            .find(|&(_, &p)| p > bound + POWER_EPS)
-            .map(|(c, &p)| (c as u32, p))
-    }
-
     /// The first cycle whose power exceeds the budget's bound *for that
     /// cycle* (with tolerance), if any, together with the power drawn
-    /// there. For a constant budget this is exactly
-    /// [`first_violation`](PowerProfile::first_violation) at its bound.
+    /// there.
     #[must_use]
-    pub fn first_violation_budget(&self, budget: &PowerBudget) -> Option<(u32, f64)> {
+    pub fn first_violation(&self, budget: &PowerBudget) -> Option<(u32, f64)> {
         self.per_cycle
             .iter()
             .enumerate()
@@ -200,77 +162,58 @@ impl PowerProfile {
     }
 }
 
-/// An incremental per-cycle power ledger with a fixed budget envelope,
+/// An incremental per-cycle power ledger under a fixed budget envelope,
 /// used by the power-constrained schedulers and the synthesis loop to
 /// reserve and release execution intervals.
 ///
-/// Two modes share one type, selected by the budget's shape:
+/// The paper's scalar bound `P<` is the constant envelope, so one
+/// structure serves every budget: a **segment tree of per-cycle slack
+/// minima**, `slack[c] = bound[c] − used[c]`. An operation drawing
+/// `power` fits an interval iff `power ≤ slack + ε` holds at the
+/// interval's *minimum* slack (IEEE-754 subtraction is monotone, so the
+/// minimum decides for every leaf). Usage is a flat per-cycle vector;
+/// each slack leaf is recomputed from `(bound[c], used[c])` whenever
+/// that cycle's usage changes, so the slack is a pure function of the
+/// usage state and snapshot/restore rollback stays bit-exact for free.
 ///
-/// * **Constant mode** — the classical scalar bound. Backed by a
-///   **segment tree of per-cycle range maxima** over the exact per-cycle
-///   reservation values: leaves hold the same `f64`s the naive
-///   cycle-scanning ledger would (mutated in the same order, so
-///   bit-exact), while internal nodes cache interval maxima. Since
-///   IEEE-754 addition is monotone, `u + power ≤ bound` holds for every
-///   cycle of an interval iff it holds for the interval's maximum.
-/// * **Envelope mode** — a time-varying [`PowerBudget`]. A usage
-///   maximum says nothing against a moving bound, so the tree instead
-///   caches **range minima of per-cycle slack** `slack[c] = budget[c] −
-///   used[c]`: an operation drawing `power` fits an interval iff
-///   `power ≤ slack + ε` holds at the interval's *minimum* slack. Slack
-///   leaves are recomputed from `(budget[c], used[c])` whenever a usage
-///   leaf changes, so they are a pure function of the usage state and
-///   snapshot/restore rollback stays bit-exact for free.
-///
-/// Either way [`PowerLedger::fits`] answers in O(log horizon) instead
-/// of O(delay), and [`PowerLedger::earliest_fit`] skips past each
-/// infeasible region in one O(log horizon) descent to its **rightmost**
-/// violating cycle (every start whose window covers that cycle is
-/// infeasible, so the search resumes just past it — the "max headroom
-/// skip" — which works unchanged against the slack minima).
+/// [`PowerLedger::fits`] answers in O(log horizon) instead of O(delay),
+/// and [`PowerLedger::earliest_fit`] skips past each infeasible region
+/// in one O(log horizon) descent to its **rightmost** violating cycle
+/// (every start whose window covers that cycle is infeasible, so the
+/// search resumes just past it — the "max headroom skip").
 ///
 /// Horizons up to `SCAN_LIMIT` (64) cycles — the paper's benchmarks —
-/// skip the internal nodes entirely and scan the leaves exactly like
-/// the naive ledger: at that scale a handful of contiguous loads beats
-/// any tree walk, and the asymptotics only matter for the large random
-/// graphs of the `scale` workload. Both modes hold identical leaf
-/// values, so every answer is the same either way.
+/// skip the internal nodes entirely and scan the slack leaves exactly
+/// like the naive ledger: at that scale a handful of contiguous loads
+/// beats any tree walk, and the asymptotics only matter for the large
+/// random graphs of the `scale` workload. The leaves are the same
+/// either way, so every answer is too.
 ///
-/// A budget whose materialized bounds are all equal — however it was
-/// spelled ([`PowerBudget::Constant`], a one-step envelope, a flat
-/// per-cycle vector) — is detected by [`PowerLedger::with_budget`] and
-/// runs in constant mode, preserving the original scalar arithmetic
-/// bit for bit.
+/// The slack form of the check, `power ≤ (bound − used) + ε`, differs
+/// from the textbook `used + power ≤ bound + ε` only when `power` lies
+/// within a few ulps of `bound − used + ε` (see the
+/// `slack_predicate_pins_the_boundary` unit test).
 ///
 /// [`NaivePowerLedger`] retains the cycle-scanning implementation as the
-/// differential-testing reference for both modes.
+/// differential-testing reference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerLedger {
-    /// Flat binary segment tree of **usage**: `tree[size + c]` is the
-    /// exact power reserved in cycle `c`; `tree[i]` for `i < size` is
-    /// the max of its two children (maintained only in constant mode,
-    /// and never read in leaf-scan mode). Leaves beyond the horizon
-    /// stay at `-inf` (the max identity) so padding never influences a
-    /// query.
-    tree: Vec<f64>,
-    /// Envelope mode only: flat binary segment tree of **slack**,
-    /// `slack[size + c] = bounds[c] - tree[size + c]`, internal nodes
-    /// the min of their children (min identity `+inf` pads beyond the
-    /// horizon). Empty in constant mode.
-    slack: Vec<f64>,
-    /// Envelope mode only: the materialized per-cycle bound. Empty in
-    /// constant mode.
+    /// The exact power reserved in each cycle of the horizon.
+    used: Vec<f64>,
+    /// The materialized per-cycle bound.
     bounds: Vec<f64>,
+    /// Flat binary segment tree of slack: `slack[size + c] = bounds[c] -
+    /// used[c]`, internal nodes the min of their children (maintained
+    /// only outside leaf-scan mode). Leaves beyond the horizon stay at
+    /// `+inf` (the min identity) so padding never influences a query.
+    slack: Vec<f64>,
     /// Number of leaves (horizon rounded up to a power of two).
     size: usize,
-    /// The scheduling horizon in cycles (leaves actually in use).
-    horizon: usize,
     /// Leaf-scan mode: the horizon is small enough that queries scan
-    /// the leaves directly and internal maxima/minima are not
-    /// maintained.
+    /// the leaves directly and internal minima are not maintained.
     scan: bool,
-    /// Constant mode: the scalar bound. Envelope mode: the peak bound
-    /// (used for the can-never-fit quick reject).
+    /// The peak bound within the horizon (used for the can-never-fit
+    /// quick reject).
     max_power: f64,
 }
 
@@ -278,38 +221,19 @@ pub struct PowerLedger {
 /// leaf-scan mode.
 const SCAN_LIMIT: usize = 64;
 
-/// Longest window the tree modes still answer with a direct (unrolled)
-/// leaf scan instead of a tree walk. With the 4-wide reductions below, a
-/// 32-cycle window is 8 independent max/min steps — still cheaper than
+/// Longest window the tree mode still answers with a direct (unrolled)
+/// leaf scan instead of a tree walk. With the 4-wide reduction below, a
+/// 32-cycle window is 8 independent min steps — still cheaper than
 /// descending and re-ascending ~2·log₂(horizon) internal nodes.
 const CHUNK_LIMIT: usize = 32;
 
-/// Maximum of `values` with four independent accumulators so the f64
-/// `max` chains don't serialize — the compiler keeps the accumulators in
+/// Minimum of `values` with four independent accumulators so the f64
+/// `min` chains don't serialize — the compiler keeps the accumulators in
 /// separate registers (auto-vectorizing where the target allows).
-/// Returns `-inf` for an empty slice. `f64::max` here is commutative and
-/// associative over the ledger's leaf values (never NaN, see
+/// Returns `+inf` for an empty slice. `f64::min` here is commutative and
+/// associative over the ledger's slack values (never NaN, see
 /// [`PowerLedger::reserve`]'s fits-first contract), so the reassociated
 /// reduction equals the sequential fold bit for bit.
-fn unrolled_max(values: &[f64]) -> f64 {
-    let mut acc = [f64::NEG_INFINITY; 4];
-    let chunks = values.chunks_exact(4);
-    let tail = chunks.remainder();
-    for c in chunks {
-        acc[0] = acc[0].max(c[0]);
-        acc[1] = acc[1].max(c[1]);
-        acc[2] = acc[2].max(c[2]);
-        acc[3] = acc[3].max(c[3]);
-    }
-    let mut m = (acc[0].max(acc[1])).max(acc[2].max(acc[3]));
-    for &v in tail {
-        m = m.max(v);
-    }
-    m
-}
-
-/// Minimum of `values`, the 4-wide dual of [`unrolled_max`]. Returns
-/// `+inf` for an empty slice.
 fn unrolled_min(values: &[f64]) -> f64 {
     let mut acc = [f64::INFINITY; 4];
     let chunks = values.chunks_exact(4);
@@ -327,91 +251,43 @@ fn unrolled_min(values: &[f64]) -> f64 {
     m
 }
 
-impl PowerLedger {
-    /// Creates an empty constant-mode ledger over `horizon` cycles with
-    /// budget `max_power` per cycle (may be `f64::INFINITY`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_power` is NaN or negative.
-    #[must_use]
-    pub fn new(horizon: u32, max_power: f64) -> PowerLedger {
-        assert!(!max_power.is_nan() && max_power >= 0.0, "invalid budget");
-        let horizon = horizon as usize;
-        let size = horizon.next_power_of_two().max(1);
-        let scan = size <= SCAN_LIMIT;
-        let mut tree = vec![f64::NEG_INFINITY; 2 * size];
-        for leaf in &mut tree[size..size + horizon] {
-            *leaf = 0.0;
-        }
-        if !scan {
-            // Cycle-0 maxima for the in-use prefix: pull every internal
-            // node.
-            for i in (1..size).rev() {
-                tree[i] = tree[2 * i].max(tree[2 * i + 1]);
-            }
-        }
-        PowerLedger {
-            tree,
-            slack: Vec::new(),
-            bounds: Vec::new(),
-            size,
-            horizon,
-            scan,
-            max_power,
-        }
-    }
+/// The one feasibility predicate: anything that is not `≤ slack + ε` —
+/// greater *or* unordered (NaN) — violates, so the negated operator is
+/// deliberate (`power > slack + ε` would silently pass NaN).
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn violates(power: f64, slack: f64) -> bool {
+    !(power <= slack + POWER_EPS)
+}
 
-    /// Creates an empty ledger over `horizon` cycles under `budget`.
-    ///
-    /// A budget whose bounds are equal in every cycle of the horizon
-    /// takes the constant-mode fast path ([`PowerLedger::new`]) — same
-    /// arithmetic, same answers, bit for bit — so passing
-    /// `PowerBudget::constant(p)` here is exactly `new(horizon, p)`.
+impl PowerLedger {
+    /// Creates an empty ledger over `horizon` cycles under `budget`
+    /// (a constant budget is the paper's scalar `P<`).
     #[must_use]
-    pub fn with_budget(horizon: u32, budget: &PowerBudget) -> PowerLedger {
-        let (bounds, peak) = match materialize_or_constant(budget, horizon) {
-            Ok(constant) => return PowerLedger::new(horizon, constant),
-            Err(envelope) => envelope,
-        };
-        let horizon = horizon as usize;
-        let size = horizon.next_power_of_two().max(1);
+    pub fn new(horizon: u32, budget: &PowerBudget) -> PowerLedger {
+        let bounds = budget.materialize(horizon);
+        let size = bounds.len().next_power_of_two().max(1);
         let scan = size <= SCAN_LIMIT;
-        let mut tree = vec![f64::NEG_INFINITY; 2 * size];
-        for leaf in &mut tree[size..size + horizon] {
-            *leaf = 0.0;
-        }
+        // Nothing is reserved yet, so every slack leaf is its bound.
         let mut slack = vec![f64::INFINITY; 2 * size];
-        for (c, &b) in bounds.iter().enumerate() {
-            // Written as `bound - used` (not just `bound`) so the leaf
-            // initialization is the same expression `refresh` maintains.
-            slack[size + c] = b - tree[size + c];
-        }
+        slack[size..size + bounds.len()].copy_from_slice(&bounds);
         if !scan {
             for i in (1..size).rev() {
                 slack[i] = slack[2 * i].min(slack[2 * i + 1]);
             }
         }
         PowerLedger {
-            tree,
-            slack,
+            used: vec![0.0; bounds.len()],
             bounds,
+            slack,
             size,
-            horizon,
             scan,
-            max_power: peak,
+            max_power: budget.peak_within(horizon),
         }
     }
 
-    /// Whether this ledger runs in envelope mode (time-varying bounds).
-    #[must_use]
-    pub fn is_envelope(&self) -> bool {
-        !self.bounds.is_empty()
-    }
-
-    /// The per-cycle budget in constant mode; the envelope's **peak**
-    /// bound in envelope mode (see [`PowerLedger::bound`] for the
-    /// per-cycle value).
+    /// The budget's peak bound within the horizon (the bound itself for
+    /// a constant budget; see [`PowerLedger::bound`] for the per-cycle
+    /// value).
     #[must_use]
     pub fn max_power(&self) -> f64 {
         self.max_power
@@ -421,54 +297,30 @@ impl PowerLedger {
     /// horizon).
     #[must_use]
     pub fn bound(&self, cycle: u32) -> f64 {
-        if self.is_envelope() {
-            self.bounds
-                .get(cycle as usize)
-                .copied()
-                .unwrap_or(self.max_power)
-        } else {
-            self.max_power
-        }
+        self.bounds
+            .get(cycle as usize)
+            .copied()
+            .unwrap_or(self.max_power)
     }
 
     /// The scheduling horizon in cycles.
     #[must_use]
     pub fn horizon(&self) -> u32 {
-        self.horizon as u32
+        self.used.len() as u32
     }
 
     /// Power already reserved in `cycle` (0 beyond the horizon).
     #[must_use]
     pub fn used(&self, cycle: u32) -> f64 {
-        if (cycle as usize) < self.horizon {
-            self.tree[self.size + cycle as usize]
-        } else {
-            0.0
-        }
+        self.used.get(cycle as usize).copied().unwrap_or(0.0)
     }
 
-    /// Maximum reserved power over cycles `[l, r)` (`-inf` when empty).
-    fn range_max(&self, mut l: usize, mut r: usize) -> f64 {
-        let mut m = f64::NEG_INFINITY;
-        l += self.size;
-        r += self.size;
-        while l < r {
-            if l & 1 == 1 {
-                m = m.max(self.tree[l]);
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                m = m.max(self.tree[r]);
-            }
-            l >>= 1;
-            r >>= 1;
-        }
-        m
+    /// The slack leaves of cycles `[l, r)`.
+    fn slack_leaves(&self, l: usize, r: usize) -> &[f64] {
+        &self.slack[self.size + l..self.size + r]
     }
 
-    /// Minimum slack over cycles `[l, r)` (`+inf` when empty; envelope
-    /// mode only).
+    /// Minimum slack over cycles `[l, r)` (`+inf` when empty).
     fn range_min_slack(&self, mut l: usize, mut r: usize) -> f64 {
         let mut m = f64::INFINITY;
         l += self.size;
@@ -488,39 +340,25 @@ impl PowerLedger {
         m
     }
 
-    /// Re-derives every cached quantity over the (non-empty) leaf range
-    /// `[l, r)` after its usage leaves were rewritten: the slack leaves
-    /// (envelope mode — always, so they stay a pure function of the
-    /// usage state even in leaf-scan mode) and the internal
-    /// maxima/minima (tree modes only). Per level only the parents
+    /// Re-derives the slack over the (non-empty) cycle range `[l, r)`
+    /// after its usage was rewritten: the leaves always, the internal
+    /// minima outside leaf-scan mode. Per level only the parents
     /// spanning the range are touched, so the total work is
     /// O(r - l + log horizon).
     fn refresh(&mut self, l: usize, r: usize) {
-        if self.is_envelope() {
-            for c in l..r {
-                self.slack[self.size + c] = self.bounds[c] - self.tree[self.size + c];
-            }
+        for c in l..r {
+            self.slack[self.size + c] = self.bounds[c] - self.used[c];
         }
         if self.scan {
             return;
         }
         let mut lo = l + self.size;
         let mut hi = r + self.size - 1;
-        if self.is_envelope() {
-            while lo > 1 {
-                lo >>= 1;
-                hi >>= 1;
-                for i in lo..=hi {
-                    self.slack[i] = self.slack[2 * i].min(self.slack[2 * i + 1]);
-                }
-            }
-        } else {
-            while lo > 1 {
-                lo >>= 1;
-                hi >>= 1;
-                for i in lo..=hi {
-                    self.tree[i] = self.tree[2 * i].max(self.tree[2 * i + 1]);
-                }
+        while lo > 1 {
+            lo >>= 1;
+            hi >>= 1;
+            for i in lo..=hi {
+                self.slack[i] = self.slack[2 * i].min(self.slack[2 * i + 1]);
             }
         }
     }
@@ -530,33 +368,23 @@ impl PowerLedger {
     /// within the horizon.
     #[must_use]
     pub fn fits(&self, start: u32, delay: u32, power: f64) -> bool {
-        let end = start as usize + delay as usize;
-        if end > self.horizon {
+        let (start, end) = (start as usize, start as usize + delay as usize);
+        if end > self.used.len() {
             return false;
         }
         if delay == 0 {
             return true;
         }
-        if self.is_envelope() {
-            // Envelope predicate: enough slack in every covered cycle,
-            // answered against the window's minimum slack (IEEE-754
-            // addition is monotone, so the min decides for every leaf —
-            // the same argument the slack tree rests on).
-            if self.scan || delay as usize <= CHUNK_LIMIT {
-                let min = unrolled_min(&self.slack[self.size + start as usize..self.size + end]);
-                return power <= min + POWER_EPS;
-            }
-            return power <= self.range_min_slack(start as usize, end) + POWER_EPS;
-        }
         // Short intervals (the norm: module delays are 1–2 cycles) are a
         // few contiguous loads reduced 4-wide — faster than any tree
-        // walk, and the window's maximum decides exactly like the naive
+        // walk, and the window's minimum decides exactly like the naive
         // per-cycle check over the same values.
-        if self.scan || delay as usize <= CHUNK_LIMIT {
-            let max = unrolled_max(&self.tree[self.size + start as usize..self.size + end]);
-            return max + power <= self.max_power + POWER_EPS;
-        }
-        self.range_max(start as usize, end) + power <= self.max_power + POWER_EPS
+        let min = if self.scan || delay as usize <= CHUNK_LIMIT {
+            unrolled_min(self.slack_leaves(start, end))
+        } else {
+            self.range_min_slack(start, end)
+        };
+        !violates(power, min)
     }
 
     /// Reserves `power` in every cycle of `[start, start + delay)`.
@@ -576,8 +404,8 @@ impl PowerLedger {
             return;
         }
         let (s, e) = (start as usize, start as usize + delay as usize);
-        for leaf in &mut self.tree[self.size + s..self.size + e] {
-            *leaf += power;
+        for u in &mut self.used[s..e] {
+            *u += power;
         }
         self.refresh(s, e);
     }
@@ -593,9 +421,9 @@ impl PowerLedger {
             return;
         }
         let (s, e) = (start as usize, start as usize + delay as usize);
-        assert!(e <= self.horizon, "release beyond the horizon");
-        for leaf in &mut self.tree[self.size + s..self.size + e] {
-            *leaf = (*leaf - power).max(0.0);
+        assert!(e <= self.used.len(), "release beyond the horizon");
+        for u in &mut self.used[s..e] {
+            *u = (*u - power).max(0.0);
         }
         self.refresh(s, e);
     }
@@ -604,9 +432,8 @@ impl PowerLedger {
     /// (clipped to the horizon), for later [`PowerLedger::restore`].
     #[must_use]
     pub fn snapshot(&self, start: u32, delay: u32) -> Vec<f64> {
-        let end = (start as usize + delay as usize).min(self.horizon);
-        let s = (start as usize).min(end);
-        self.tree[self.size + s..self.size + end].to_vec()
+        let end = (start as usize + delay as usize).min(self.used.len());
+        self.used[(start as usize).min(end)..end].to_vec()
     }
 
     /// Writes back a [`PowerLedger::snapshot`], undoing every reservation
@@ -618,57 +445,33 @@ impl PowerLedger {
         }
         let s = start as usize;
         let e = s + values.len();
-        assert!(e <= self.horizon, "restore beyond the horizon");
-        self.tree[self.size + s..self.size + e].copy_from_slice(values);
+        assert!(e <= self.used.len(), "restore beyond the horizon");
+        self.used[s..e].copy_from_slice(values);
         self.refresh(s, e);
     }
 
-    /// The rightmost cycle in `[l, r)` whose reservation plus `power`
-    /// overflows the budget, if any.
+    /// The rightmost cycle in `[l, r)` whose slack rejects `power`, if
+    /// any — the exact negation of the `fits` comparison, so the offset
+    /// search agrees with the probe bit for bit.
     fn last_violation(&self, l: usize, r: usize, power: f64) -> Option<usize> {
-        if self.is_envelope() {
-            // Envelope predicate on the slack values — the exact
-            // negation of the `fits` comparison, so the offset search
-            // agrees with the probe bit for bit. The cached aggregate is
-            // the interval *minimum*, and since f64 addition is
-            // monotone, a node whose minimum slack still admits `power`
-            // admits it in every leaf: the same prune/descent shape
-            // works with min in place of max.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let violates = move |s: f64| !(power <= s + POWER_EPS);
-            if self.scan || r - l <= CHUNK_LIMIT {
-                // Clean-range pre-check: the whole window passes iff its
-                // minimum slack does (the common case on the offset
-                // search's final probe), so the position scan only runs
-                // when a violation is known to exist.
-                let leaves = &self.slack[self.size + l..self.size + r];
-                if !violates(unrolled_min(leaves)) {
-                    return None;
-                }
-                return leaves.iter().rposition(|&s| violates(s)).map(|i| l + i);
-            }
-            return last_violation_in(&self.slack, self.size, 1, 0, self.size, l, r, &violates);
-        }
-        // The exact negation of the `fits` comparison: anything that is
-        // not `≤ bound` — greater *or* unordered (NaN) — violates, so
-        // the negated operator is deliberate (`v + power > bound` would
-        // silently pass NaN).
-        let bound = self.max_power + POWER_EPS;
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let violates = move |v: f64| !(v + power <= bound);
         // Short windows (the norm: delays are 1–2 cycles) scan their
         // leaves directly; the descent only pays off on long intervals.
-        // The 4-wide max pre-check settles the clean case (every final
-        // probe of an offset search) without a positional scan — NaN
-        // `power` makes `violates` total, so the max still falls through.
         if self.scan || r - l <= CHUNK_LIMIT {
-            let leaves = &self.tree[self.size + l..self.size + r];
-            if !violates(unrolled_max(leaves)) {
+            // Clean-range pre-check: the whole window passes iff its
+            // minimum slack does (the common case on the offset search's
+            // final probe), so the position scan only runs when a
+            // violation is known to exist. NaN `power` makes `violates`
+            // total, so the minimum still falls through.
+            let leaves = self.slack_leaves(l, r);
+            if !violates(power, unrolled_min(leaves)) {
                 return None;
             }
-            return leaves.iter().rposition(|&u| violates(u)).map(|i| l + i);
+            return leaves
+                .iter()
+                .rposition(|&s| violates(power, s))
+                .map(|i| l + i);
         }
-        last_violation_in(&self.tree, self.size, 1, 0, self.size, l, r, &violates)
+        last_violation_in(&self.slack, self.size, 1, 0, self.size, l, r, power)
     }
 
     /// The first covered cycle of `[start, start + delay)` whose own
@@ -687,16 +490,9 @@ impl PowerLedger {
         if end > self.horizon() {
             return Some(self.horizon());
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        (start..end)
-            .find(|&c| {
-                if self.is_envelope() {
-                    !(power <= self.slack[self.size + c as usize] + POWER_EPS)
-                } else {
-                    !(self.tree[self.size + c as usize] + power <= self.max_power + POWER_EPS)
-                }
-            })
-            .or(Some(start))
+        let leaves = self.slack_leaves(start as usize, end as usize);
+        let first = leaves.iter().position(|&s| violates(power, s));
+        Some(first.map_or(start, |i| start + i as u32))
     }
 
     /// The earliest start `s ≥ min_start` such that `[s, s+delay)` fits,
@@ -744,80 +540,56 @@ impl PowerLedger {
     }
 }
 
-/// Rightmost violating leaf of `[l, r)` under `node` of the segment
-/// tree `arr` (usage maxima in constant mode, slack minima in envelope
-/// mode), which covers `[node_l, node_r)`. A node whose cached
-/// aggregate does not violate is pruned outright (its whole interval,
-/// hence the intersection with `[l, r)`, is clean); a violating node
-/// may owe its aggregate to leaves outside `[l, r)`, which the
-/// right-before-left recursion resolves.
+/// Rightmost leaf of `[l, r)` under `node` of the slack-min segment tree
+/// `slack` (covering `[node_l, node_r)`) that rejects `power`. A node
+/// whose cached minimum admits `power` is pruned outright (its whole
+/// interval, hence the intersection with `[l, r)`, is clean); a
+/// rejecting node may owe its minimum to leaves outside `[l, r)`, which
+/// the right-before-left recursion resolves.
 #[allow(clippy::too_many_arguments)]
 fn last_violation_in(
-    arr: &[f64],
+    slack: &[f64],
     size: usize,
     node: usize,
     node_l: usize,
     node_r: usize,
     l: usize,
     r: usize,
-    violates: &impl Fn(f64) -> bool,
+    power: f64,
 ) -> Option<usize> {
-    if node_r <= l || r <= node_l || !violates(arr[node]) {
+    if node_r <= l || r <= node_l || !violates(power, slack[node]) {
         return None;
     }
     if node >= size {
         return Some(node - size);
     }
     let mid = (node_l + node_r) / 2;
-    last_violation_in(arr, size, 2 * node + 1, mid, node_r, l, r, violates)
-        .or_else(|| last_violation_in(arr, size, 2 * node, node_l, mid, l, r, violates))
+    last_violation_in(slack, size, 2 * node + 1, mid, node_r, l, r, power)
+        .or_else(|| last_violation_in(slack, size, 2 * node, node_l, mid, l, r, power))
 }
 
-/// The original cycle-scanning power ledger, kept verbatim as the
-/// reference implementation the segment-tree [`PowerLedger`] is
-/// differential-tested against (`crates/sched/tests/properties.rs`).
-/// Every operation has the naive complexity the paper's pseudocode
-/// implies: O(delay) probes, O(horizon × delay) offset searches.
-/// Generalized alongside the fast ledger: under a [`PowerBudget`]
-/// envelope it evaluates the same per-cycle slack predicate, computed
-/// from scratch on every query.
+/// The original cycle-scanning power ledger, kept as the reference
+/// implementation the segment-tree [`PowerLedger`] is differential-tested
+/// against (`crates/sched/tests/properties.rs`). Every operation has the
+/// naive complexity the paper's pseudocode implies: O(delay) probes,
+/// O(horizon × delay) offset searches. It evaluates the same per-cycle
+/// slack predicate, computed from scratch on every query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NaivePowerLedger {
     used: Vec<f64>,
-    /// Envelope mode: the materialized per-cycle bound (`None` for the
-    /// classical constant budget).
-    bounds: Option<Vec<f64>>,
+    /// The materialized per-cycle bound.
+    bounds: Vec<f64>,
     max_power: f64,
 }
 
 impl NaivePowerLedger {
     /// As [`PowerLedger::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_power` is NaN or negative.
     #[must_use]
-    pub fn new(horizon: u32, max_power: f64) -> NaivePowerLedger {
-        assert!(!max_power.is_nan() && max_power >= 0.0, "invalid budget");
+    pub fn new(horizon: u32, budget: &PowerBudget) -> NaivePowerLedger {
         NaivePowerLedger {
             used: vec![0.0; horizon as usize],
-            bounds: None,
-            max_power,
-        }
-    }
-
-    /// As [`PowerLedger::with_budget`]: equal-bound budgets collapse to
-    /// the constant path, everything else evaluates per-cycle slack.
-    #[must_use]
-    pub fn with_budget(horizon: u32, budget: &PowerBudget) -> NaivePowerLedger {
-        let (bounds, peak) = match materialize_or_constant(budget, horizon) {
-            Ok(constant) => return NaivePowerLedger::new(horizon, constant),
-            Err(envelope) => envelope,
-        };
-        NaivePowerLedger {
-            used: vec![0.0; horizon as usize],
-            bounds: Some(bounds),
-            max_power: peak,
+            bounds: budget.materialize(horizon),
+            max_power: budget.peak_within(horizon),
         }
     }
 
@@ -837,17 +609,8 @@ impl NaivePowerLedger {
     #[must_use]
     pub fn fits(&self, start: u32, delay: u32, power: f64) -> bool {
         let end = start as usize + delay as usize;
-        if end > self.used.len() {
-            return false;
-        }
-        match &self.bounds {
-            Some(bounds) => {
-                (start as usize..end).all(|c| power <= (bounds[c] - self.used[c]) + POWER_EPS)
-            }
-            None => self.used[start as usize..end]
-                .iter()
-                .all(|&u| u + power <= self.max_power + POWER_EPS),
-        }
+        end <= self.used.len()
+            && (start as usize..end).all(|c| !violates(power, self.bounds[c] - self.used[c]))
     }
 
     /// As [`PowerLedger::reserve`].
@@ -914,6 +677,11 @@ mod tests {
     use super::*;
     use crate::timing::OpTiming;
 
+    /// A ledger under the paper's scalar bound `P<`.
+    fn scalar(horizon: u32, bound: f64) -> PowerLedger {
+        PowerLedger::new(horizon, &PowerBudget::constant(bound))
+    }
+
     #[test]
     fn unrolled_reductions_match_sequential_folds() {
         // Lengths straddling the 4-wide chunking (0, tails of 1–3, exact
@@ -922,18 +690,15 @@ mod tests {
             let values: Vec<f64> = (0..len)
                 .map(|i| ((i * 37 + 11) % 17) as f64 - 5.0)
                 .collect();
-            let fold_max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let fold_min = values.iter().copied().fold(f64::INFINITY, f64::min);
-            assert_eq!(unrolled_max(&values).to_bits(), fold_max.to_bits(), "{len}");
             assert_eq!(unrolled_min(&values).to_bits(), fold_min.to_bits(), "{len}");
         }
-        assert_eq!(unrolled_max(&[]), f64::NEG_INFINITY);
         assert_eq!(unrolled_min(&[]), f64::INFINITY);
     }
 
     #[test]
     fn ledger_reserve_release_round_trip() {
-        let mut l = PowerLedger::new(10, 5.0);
+        let mut l = scalar(10, 5.0);
         assert!(l.fits(2, 3, 4.0));
         l.reserve(2, 3, 4.0);
         assert!(!l.fits(3, 1, 2.0));
@@ -944,7 +709,7 @@ mod tests {
 
     #[test]
     fn earliest_fit_skips_busy_cycles() {
-        let mut l = PowerLedger::new(10, 5.0);
+        let mut l = scalar(10, 5.0);
         l.reserve(0, 4, 3.0);
         // 3 power/cycle for 2 cycles cannot fit until cycle 4.
         assert_eq!(l.earliest_fit(0, 2, 3.0), Some(4));
@@ -954,20 +719,20 @@ mod tests {
 
     #[test]
     fn earliest_fit_rejects_oversized_ops() {
-        let l = PowerLedger::new(10, 5.0);
+        let l = scalar(10, 5.0);
         assert_eq!(l.earliest_fit(0, 1, 6.0), None);
     }
 
     #[test]
     fn earliest_fit_respects_horizon() {
-        let l = PowerLedger::new(4, 5.0);
+        let l = scalar(4, 5.0);
         assert_eq!(l.earliest_fit(3, 2, 1.0), None);
         assert_eq!(l.earliest_fit(3, 1, 1.0), Some(3));
     }
 
     #[test]
     fn infinite_budget_always_fits() {
-        let l = PowerLedger::new(4, f64::INFINITY);
+        let l = scalar(4, f64::INFINITY);
         assert!(l.fits(0, 4, 1e18));
     }
 
@@ -995,8 +760,11 @@ mod tests {
         assert!((p.energy() - 9.0).abs() < 1e-12);
         assert!((p.average() - 4.5).abs() < 1e-12);
         assert!((p.peak_to_average() - 5.0 / 4.5).abs() < 1e-12);
-        assert_eq!(p.first_violation(4.5), Some((0, 5.0)));
-        assert_eq!(p.first_violation(5.0), None);
+        assert_eq!(
+            p.first_violation(&PowerBudget::constant(4.5)),
+            Some((0, 5.0))
+        );
+        assert_eq!(p.first_violation(&PowerBudget::constant(5.0)), None);
     }
 
     #[test]
@@ -1009,33 +777,68 @@ mod tests {
     #[test]
     #[should_panic(expected = "violates the budget")]
     fn blind_reserve_panics() {
-        let mut l = PowerLedger::new(4, 1.0);
+        let mut l = scalar(4, 1.0);
         l.reserve(0, 1, 2.0);
     }
 
     #[test]
-    fn equal_bound_budgets_collapse_to_constant_mode() {
-        // However the constant is spelled, the ledger must land on the
-        // scalar fast path — this is what keeps scalar-constrained
-        // synthesis byte-identical to the pre-envelope code.
+    fn equal_bound_budgets_build_equal_ledgers() {
+        // However the constant is spelled, the ledger is the same value,
+        // so scalar-constrained synthesis cannot depend on the spelling.
         for budget in [
             PowerBudget::constant(5.0),
             PowerBudget::steps(vec![(0, 5.0)]),
+            PowerBudget::steps(vec![(0, 5.0), (4, 5.0)]),
             PowerBudget::per_cycle(vec![5.0; 10]),
+            PowerBudget::per_cycle(vec![5.0; 3]),
         ] {
-            let l = PowerLedger::with_budget(10, &budget);
-            assert!(!l.is_envelope(), "{budget:?}");
-            assert_eq!(l, PowerLedger::new(10, 5.0), "{budget:?}");
+            for horizon in [0, 10, 100] {
+                assert_eq!(
+                    PowerLedger::new(horizon, &budget),
+                    scalar(horizon, 5.0),
+                    "{budget:?} over {horizon}"
+                );
+            }
         }
         // Infinity is a constant too.
-        assert!(!PowerLedger::with_budget(10, &PowerBudget::unbounded()).is_envelope());
+        assert_eq!(
+            PowerLedger::new(10, &PowerBudget::per_cycle(vec![f64::INFINITY])),
+            PowerLedger::new(10, &PowerBudget::unbounded())
+        );
+        // A zero horizon still reports the opening bound.
+        let empty = PowerLedger::new(0, &PowerBudget::steps(vec![(0, 7.0), (3, 2.0)]));
+        assert_eq!(empty.max_power(), 7.0);
+        assert_eq!(empty.bound(0), 7.0);
+    }
+
+    #[test]
+    fn slack_predicate_pins_the_boundary() {
+        // The one check is `p ≤ (B − used) + ε`. Within a few ulps of
+        // the boundary it differs from `used + p ≤ B + ε`: this draw
+        // passes the latter and fails the former, and the fast and the
+        // naive ledger must both apply the former.
+        let (bound, used, p) = (12.5, 10.0, 2.500_000_001_000_000_5);
+        assert!(used + p <= bound + POWER_EPS);
+        assert!(p > (bound - used) + POWER_EPS);
+        let budget = PowerBudget::constant(bound);
+        let mut fast = PowerLedger::new(4, &budget);
+        let mut naive = NaivePowerLedger::new(4, &budget);
+        fast.reserve(1, 2, used);
+        naive.reserve(1, 2, used);
+        assert!(!fast.fits(1, 1, p));
+        assert!(!naive.fits(1, 1, p));
+        assert_eq!(fast.earliest_fit(0, 2, p), None);
+        assert_eq!(naive.earliest_fit(0, 2, p), None);
+        assert_eq!(fast.first_unfit_cycle(0, 2, p), Some(1));
+        // Exactly at the boundary the draw fits on both sides.
+        assert!(fast.fits(1, 1, 2.5) && naive.fits(1, 1, 2.5));
+        assert_eq!(fast.earliest_fit(1, 3, 2.5), naive.earliest_fit(1, 3, 2.5));
     }
 
     #[test]
     fn envelope_ledger_enforces_each_cycles_own_bound() {
         let budget = PowerBudget::steps(vec![(0, 10.0), (4, 3.0)]);
-        let l = PowerLedger::with_budget(8, &budget);
-        assert!(l.is_envelope());
+        let l = PowerLedger::new(8, &budget);
         assert_eq!(l.bound(0), 10.0);
         assert_eq!(l.bound(4), 3.0);
         // 5 power/cycle fits the opening phase but not the tail.
@@ -1054,7 +857,7 @@ mod tests {
     #[test]
     fn envelope_reservations_consume_slack() {
         let budget = PowerBudget::per_cycle(vec![10.0, 10.0, 4.0, 4.0]);
-        let mut l = PowerLedger::with_budget(4, &budget);
+        let mut l = PowerLedger::new(4, &budget);
         l.reserve(0, 4, 3.0);
         assert!(l.fits(0, 2, 7.0));
         assert!(!l.fits(0, 3, 2.0)); // cycle 2 has 1.0 slack left
@@ -1074,7 +877,7 @@ mod tests {
         for b in bounds.iter_mut().skip(100) {
             *b = 4.0;
         }
-        let mut l = PowerLedger::with_budget(200, &PowerBudget::per_cycle(bounds));
+        let mut l = PowerLedger::new(200, &PowerBudget::per_cycle(bounds));
         l.reserve(50, 100, 2.0);
         assert!(l.fits(0, 50, 8.9));
         assert!(!l.fits(0, 51, 8.0));
@@ -1096,13 +899,10 @@ mod tests {
     fn profile_violations_against_a_budget() {
         let p = PowerProfile::from_cycles(vec![5.0, 5.0, 5.0]);
         let constant = PowerBudget::constant(4.0);
-        assert_eq!(p.first_violation_budget(&constant), Some((0, 5.0)));
+        assert_eq!(p.first_violation(&constant), Some((0, 5.0)));
         let steps = PowerBudget::steps(vec![(0, 6.0), (2, 4.0)]);
-        assert_eq!(p.first_violation_budget(&steps), Some((2, 5.0)));
-        assert_eq!(
-            p.first_violation_budget(&PowerBudget::constant(5.0)),
-            p.first_violation(5.0)
-        );
+        assert_eq!(p.first_violation(&steps), Some((2, 5.0)));
+        assert_eq!(p.first_violation(&PowerBudget::constant(5.0)), None);
     }
 
     #[test]

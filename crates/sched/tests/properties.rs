@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use pchls_cdfg::{random_dag, RandomDagConfig};
 use pchls_fulib::{paper_library, SelectionPolicy};
 use pchls_sched::{
-    alap, asap, force_directed, list_schedule, palap, pasap, two_step, Allocation, PowerProfile,
-    TimingMap,
+    alap, asap, force_directed, list_schedule, palap, pasap, two_step, Allocation, PowerBudget,
+    PowerProfile, TimingMap,
 };
 
 prop_compose! {
@@ -33,20 +33,19 @@ proptest! {
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let base = asap(&g, &t);
-        prop_assert_eq!(&pasap(&g, &t, f64::INFINITY, 10_000).unwrap(), &base);
+        prop_assert_eq!(&pasap(&g, &t, &PowerBudget::unbounded(), 10_000).unwrap(), &base);
 
         let peak = PowerProfile::of(&base, &t).peak();
-        let bound = (peak * frac).max(t.max_single_op_power());
-        let s = pasap(&g, &t, bound, 10_000).unwrap();
-        s.validate(&g, &t, None, Some(bound)).unwrap();
+        let bound = PowerBudget::constant((peak * frac).max(t.max_single_op_power()));
+        let s = pasap(&g, &t, &bound, 10_000).unwrap();
+        s.validate(&g, &t, None, Some(&bound)).unwrap();
     }
 
     /// pasap under a stepwise budget envelope respects every cycle's
-    /// own bound, and a constant envelope reproduces scalar pasap
-    /// exactly.
+    /// own bound, and a stepwise spelling of a constant reproduces the
+    /// scalar schedule exactly.
     #[test]
     fn pasap_budget_respects_the_envelope(cfg in config(), frac in 0.5f64..1.0, split in 1u32..40) {
-        use pchls_sched::{pasap_budget, PowerBudget};
         let g = random_dag(&cfg);
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
@@ -54,16 +53,16 @@ proptest! {
         let peak = PowerProfile::of(&base, &t).peak();
         let lo = (peak * frac).max(t.max_single_op_power());
 
-        // Constant envelope ≡ scalar path, bit for bit.
-        let scalar = pasap(&g, &t, lo, 10_000).unwrap();
-        let constant = pasap_budget(&g, &t, &PowerBudget::constant(lo), 10_000).unwrap();
-        prop_assert_eq!(&scalar, &constant);
+        // Equal-bound steps ≡ scalar path, bit for bit.
+        let scalar = pasap(&g, &t, &PowerBudget::constant(lo), 10_000).unwrap();
+        let flat = PowerBudget::steps(vec![(0, lo), (split, lo)]);
+        prop_assert_eq!(&scalar, &pasap(&g, &t, &flat, 10_000).unwrap());
 
         // Loose opening phase, tight tail: the schedule must satisfy
         // the per-cycle bounds everywhere.
         let budget = PowerBudget::steps(vec![(0, peak * 2.0), (split, lo)]);
-        let s = pasap_budget(&g, &t, &budget, 10_000).unwrap();
-        s.validate_budget(&g, &t, None, &budget).unwrap();
+        let s = pasap(&g, &t, &budget, 10_000).unwrap();
+        s.validate(&g, &t, None, Some(&budget)).unwrap();
     }
 
     /// palap respects the latency it is given and the power bound.
@@ -73,11 +72,11 @@ proptest! {
         let lib = paper_library();
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let base = asap(&g, &t);
-        let peak = PowerProfile::of(&base, &t).peak();
+        let peak = PowerBudget::constant(PowerProfile::of(&base, &t).peak());
         // Start from a latency pasap itself achieves, plus slack.
-        let lat = pasap(&g, &t, peak, 10_000).unwrap().latency(&t) + slack;
-        let s = palap(&g, &t, peak, lat).unwrap();
-        s.validate(&g, &t, Some(lat), Some(peak)).unwrap();
+        let lat = pasap(&g, &t, &peak, 10_000).unwrap().latency(&t) + slack;
+        let s = palap(&g, &t, &peak, lat).unwrap();
+        s.validate(&g, &t, Some(lat), Some(&peak)).unwrap();
     }
 
     /// alap mobility windows are well-formed: asap <= alap pointwise.
@@ -105,7 +104,7 @@ proptest! {
             .map(|n| lib.select(n.kind(), SelectionPolicy::Fastest).unwrap())
             .collect();
         let alloc = Allocation::from_pairs(lib.ids().map(|m| (m, units)));
-        let s = list_schedule(&g, &lib, &modules, &alloc, f64::INFINITY).unwrap();
+        let s = list_schedule(&g, &lib, &modules, &alloc, &PowerBudget::unbounded()).unwrap();
         let t = TimingMap::from_modules(&g, &lib, &modules);
         s.validate(&g, &t, None, None).unwrap();
         // Resource check: concurrency per module never exceeds the count.
@@ -147,12 +146,12 @@ proptest! {
         let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
         let base = asap(&g, &t);
         let peak = PowerProfile::of(&base, &t).peak();
-        let bound = peak * frac;
+        let bound = PowerBudget::constant(peak * frac);
         let lat = base.latency(&t) + slack;
-        let out = two_step(&g, &t, lat, bound).unwrap();
+        let out = two_step(&g, &t, lat, &bound).unwrap();
         out.schedule.validate(&g, &t, Some(lat), None).unwrap();
         if out.met_power {
-            out.schedule.validate(&g, &t, Some(lat), Some(bound)).unwrap();
+            out.schedule.validate(&g, &t, Some(lat), Some(&bound)).unwrap();
         }
     }
 }
@@ -177,9 +176,9 @@ mod locked_props {
             let lib = paper_library();
             let t = TimingMap::from_policy(&g, &lib, SelectionPolicy::Fastest);
             let peak = PowerProfile::of(&asap(&g, &t), &t).peak();
-            let bound = (peak * frac).max(t.max_single_op_power());
+            let bound = PowerBudget::constant((peak * frac).max(t.max_single_op_power()));
             let horizon = 10_000;
-            let base = pasap(&g, &t, bound, horizon).unwrap();
+            let base = pasap(&g, &t, &bound, horizon).unwrap();
 
             let mut locked = LockedStarts::none(g.len());
             for id in g.node_ids() {
@@ -187,14 +186,14 @@ mod locked_props {
                     locked.lock(id, base.start(id));
                 }
             }
-            let s = pasap_locked(&g, &t, bound, horizon, &locked)
+            let s = pasap_locked(&g, &t, &bound, horizon, &locked)
                 .expect("relocking a valid schedule stays feasible");
             for id in g.node_ids() {
                 if let Some(fixed) = locked.get(id) {
                     prop_assert_eq!(s.start(id), fixed);
                 }
             }
-            s.validate(&g, &t, None, Some(bound)).unwrap();
+            s.validate(&g, &t, None, Some(&bound)).unwrap();
         }
     }
 }
@@ -207,24 +206,34 @@ mod ledger_props {
     type LedgerOp = (u8, u32, u32, f64);
 
     /// Drives the segment-tree [`PowerLedger`] and the reference
-    /// [`NaivePowerLedger`] through the same operation sequence,
-    /// asserting every query answer matches along the way and that the
-    /// final per-cycle reservations are bit-identical.
-    fn check_agreement(horizon: u32, budget: f64, ops: &[LedgerOp]) -> Result<(), TestCaseError> {
+    /// [`NaivePowerLedger`] through the same operation sequence under
+    /// `budget`, asserting every query answer matches along the way and
+    /// that the final per-cycle reservations are bit-identical.
+    fn check_agreement(
+        horizon: u32,
+        budget: &PowerBudget,
+        ops: &[LedgerOp],
+    ) -> Result<(), TestCaseError> {
         let tree = PowerLedger::new(horizon, budget);
         let naive = NaivePowerLedger::new(horizon, budget);
         check_ledger_pair(tree, naive, horizon, ops)
     }
 
-    /// As [`check_agreement`], over an arbitrary budget envelope.
-    fn check_agreement_budget(
-        horizon: u32,
-        budget: &PowerBudget,
-        ops: &[LedgerOp],
-    ) -> Result<(), TestCaseError> {
-        let tree = PowerLedger::with_budget(horizon, budget);
-        let naive = NaivePowerLedger::with_budget(horizon, budget);
-        check_ledger_pair(tree, naive, horizon, ops)
+    /// The boundary arms the generators share, picked by `arm`:
+    ///
+    /// * `0` — the grid: every power rounds to a multiple of 1/8. The
+    ///   generators' bounds are multiples of 1/8 too, so `used + power
+    ///   == bound` happens often and the ε comparison is hit exactly;
+    /// * `1` — every delay is 0;
+    /// * `2` — a zero horizon;
+    /// * anything else leaves the draw as it is.
+    fn boundary_arm(arm: u8, horizon: u32, ops: &[LedgerOp]) -> (u32, Vec<LedgerOp>) {
+        let ops = ops.iter().map(|&(op, start, delay, power)| match arm {
+            0 => (op, start, delay, (power * 8.0).round() / 8.0),
+            1 => (op, start, 0, power),
+            _ => (op, start, delay, power),
+        });
+        (if arm == 2 { 0 } else { horizon }, ops.collect())
     }
 
     fn check_ledger_pair(
@@ -316,42 +325,44 @@ mod ledger_props {
 
         /// The segment-tree ledger and the naive reference agree on
         /// every `fits` / `earliest_fit` / `reserve` / `release` /
-        /// `snapshot` / `restore` under random operation sequences —
-        /// across both the leaf-scan regime (small horizons) and the
-        /// tree regime (horizons past the scan limit).
+        /// `snapshot` / `restore` under random operation sequences and
+        /// a constant budget — across both the leaf-scan regime (small
+        /// horizons) and the tree regime (horizons past the scan limit),
+        /// plus the grid, zero-delay and zero-horizon arms.
         #[test]
         fn segment_tree_ledger_agrees_with_naive(
             horizon in 0u32..200,
             budget_step in 0u8..5,
+            arm in 0u8..6,
             ops in proptest::collection::vec(
                 (0u8..15, 0u32..220, 0u32..24, 0f64..12.5),
                 1..80,
             ),
         ) {
             let budget = match budget_step {
-                0 => f64::INFINITY,
-                b => f64::from(b) * 7.5,
+                0 => PowerBudget::unbounded(),
+                b => PowerBudget::constant(f64::from(b) * 7.5),
             };
-            check_agreement(horizon, budget, &ops)?;
+            let (horizon, ops) = boundary_arm(arm, horizon, &ops);
+            check_agreement(horizon, &budget, &ops)?;
         }
 
-        /// Under random **stepwise** envelopes, the slack-min tree
-        /// ledger and the naive per-cycle-slack reference agree on every
-        /// operation — across the leaf-scan regime (small horizons) and
-        /// the tree regime, including budgets whose phases are all
-        /// equal (which must collapse to the constant fast path on both
-        /// sides).
+        /// Under random **stepwise** envelopes the two ledgers agree on
+        /// every operation — across the leaf-scan and tree regimes,
+        /// including budgets whose phases are all equal, plus the grid,
+        /// zero-delay and zero-horizon arms.
         #[test]
         fn stepwise_envelope_ledger_agrees_with_naive(
             horizon in 0u32..200,
             raw_steps in proptest::collection::vec((0u32..200, 0u8..6), 1..6),
+            arm in 0u8..6,
             ops in proptest::collection::vec(
                 (0u8..15, 0u32..220, 0u32..24, 0f64..12.5),
                 1..80,
             ),
         ) {
             // Strictly increasing cycles, first step at 0; bound levels
-            // quantized so equal-phase (constant-collapse) envelopes
+            // quantized (multiples of 1/8) so equal-phase envelopes
             // occur often.
             let mut steps: Vec<(u32, f64)> = Vec::new();
             for (i, &(c, level)) in raw_steps.iter().enumerate() {
@@ -365,7 +376,8 @@ mod ledger_props {
                 }
             }
             let budget = PowerBudget::steps(steps);
-            check_agreement_budget(horizon, &budget, &ops)?;
+            let (horizon, ops) = boundary_arm(arm, horizon, &ops);
+            check_agreement(horizon, &budget, &ops)?;
         }
 
         /// Under random **per-cycle** envelopes (arbitrary bound per
@@ -380,7 +392,7 @@ mod ledger_props {
         ) {
             let horizon = bounds.len() as u32;
             let budget = PowerBudget::per_cycle(bounds);
-            check_agreement_budget(horizon, &budget, &ops)?;
+            check_agreement(horizon, &budget, &ops)?;
         }
 
         /// The chunked (4-wide unrolled) leaf scans answer exactly like
@@ -388,8 +400,7 @@ mod ledger_props {
         /// boundary: delays crossing the former 8-cycle scalar cutoff,
         /// the 32-cycle chunk limit, and beyond (tree descent), over
         /// horizons past the 64-leaf scan limit so tree mode is engaged.
-        /// Both the constant max-reduction and the envelope
-        /// min-slack-reduction paths are exercised.
+        /// Both a constant and a two-phase budget are exercised.
         #[test]
         fn chunked_leaf_scans_agree_with_naive_across_regimes(
             horizon in 65u32..300,
@@ -399,13 +410,12 @@ mod ledger_props {
                 1..60,
             ),
         ) {
-            if envelope {
-                // A two-phase envelope keeps the slack path engaged.
-                let budget = PowerBudget::steps(vec![(0, 25.0), (horizon / 2, 10.0)]);
-                check_agreement_budget(horizon, &budget, &ops)?;
+            let budget = if envelope {
+                PowerBudget::steps(vec![(0, 25.0), (horizon / 2, 10.0)])
             } else {
-                check_agreement(horizon, 20.0, &ops)?;
-            }
+                PowerBudget::constant(20.0)
+            };
+            check_agreement(horizon, &budget, &ops)?;
         }
 
         /// Dedicated large-horizon cases keep the tree-mode descent and
@@ -419,9 +429,9 @@ mod ledger_props {
             ),
             probes in proptest::collection::vec((0u32..380, 1u32..60, 0f64..6.0), 1..30),
         ) {
-            let budget = 10.0;
-            let mut tree = PowerLedger::new(horizon, budget);
-            let mut naive = NaivePowerLedger::new(horizon, budget);
+            let budget = PowerBudget::constant(10.0);
+            let mut tree = PowerLedger::new(horizon, &budget);
+            let mut naive = NaivePowerLedger::new(horizon, &budget);
             for &(start, delay, power) in &ops {
                 if tree.fits(start, delay, power) && naive.fits(start, delay, power) {
                     tree.reserve(start, delay, power);

@@ -29,7 +29,9 @@
 //! answers a request whose point sits in the shard's **memory** tier
 //! on the calling thread — no queue, no worker, no wake-up — under
 //! `catch_unwind`, so a panic there answers `internal error` instead of
-//! taking the reactor down. Store-only hits (tier 2 reads take the
+//! taking the reactor down. Worker jobs run under `catch_unwind` too: a
+//! panicking job answers `internal error`, bumps
+//! `pchls_job_panics_total`, and its worker serves on. Store-only hits (tier 2 reads take the
 //! store lock the write-behind appender holds) and everything else are
 //! handed back routed, to be queued exactly as above. Worker jobs and
 //! inline answers pass through one accounting step, so counters,
@@ -304,6 +306,9 @@ struct Shared {
     /// Test-only fault injection: the next inline answer panics.
     #[cfg(test)]
     panic_next_inline: AtomicBool,
+    /// Test-only fault injection: the next worker job panics.
+    #[cfg(test)]
+    panic_next_job: AtomicBool,
     workers: usize,
     requests: Counter,
     completed: Counter,
@@ -313,6 +318,9 @@ struct Shared {
     rate_limited: Counter,
     patched: Counter,
     patch_fallbacks: Counter,
+    /// Panics contained while answering a request, on a worker or
+    /// inline.
+    job_panics: Counter,
 }
 
 /// A running synthesis service: an [`Engine`] fronted by sharded
@@ -422,6 +430,8 @@ impl Service {
             },
             #[cfg(test)]
             panic_next_inline: AtomicBool::new(false),
+            #[cfg(test)]
+            panic_next_job: AtomicBool::new(false),
             // One hit worker per shard rides along with the synth pool.
             workers: synth_workers + shard_count,
             requests: metrics.counter("pchls_requests_total"),
@@ -432,6 +442,7 @@ impl Service {
             rate_limited: metrics.counter("pchls_requests_rate_limited_total"),
             patched: metrics.counter("pchls_requests_patched_total"),
             patch_fallbacks: metrics.counter("pchls_patch_fallbacks_total"),
+            job_panics: metrics.counter("pchls_job_panics_total"),
             metrics,
         });
         let mut pools = Vec::with_capacity(2 * shard_count);
@@ -534,10 +545,7 @@ impl Service {
                 });
             }
             Ok(Some(response)) => (response, Disposition::Completed),
-            Err(_) => (
-                SubmitResponse::error(request.id, "internal error"),
-                Disposition::Failed,
-            ),
+            Err(_) => shared.contained_panic(request.id),
         };
         shared.requests.inc();
         shared.account(shard, Lane::Hit, request.id, accepted, &disposition);
@@ -549,6 +557,13 @@ impl Service {
     #[cfg(test)]
     pub(crate) fn panic_next_inline(&self) {
         self.shared.panic_next_inline.store(true, Ordering::Relaxed);
+    }
+
+    /// Makes the next worker job panic (fault injection for the
+    /// containment tests).
+    #[cfg(test)]
+    pub(crate) fn panic_next_job(&self) {
+        self.shared.panic_next_job.store(true, Ordering::Relaxed);
     }
 
     /// Queues a routed request without blocking. Refused requests
@@ -860,9 +875,19 @@ impl Shared {
         SubmitResponse::point(id, record.to_point(self.graph(&target.graph).name()))
     }
 
-    /// Processes one job on a worker thread and sends the reply.
+    /// Processes one job on a worker thread and sends the reply. A panic
+    /// while answering is contained: the job answers `internal error`
+    /// and the worker serves on (its pool never respawns a thread).
     fn process(&self, shard_idx: usize, job: Job) {
-        let (response, disposition) = self.respond(&self.shards[shard_idx], &job);
+        let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if self.panic_next_job.swap(false, Ordering::Relaxed) {
+                panic!("injected panic in a worker job");
+            }
+            self.respond(&self.shards[shard_idx], &job)
+        }));
+        let (response, disposition) =
+            answer.unwrap_or_else(|_| self.contained_panic(job.request.id));
         self.account(
             shard_idx,
             job.lane,
@@ -871,6 +896,16 @@ impl Shared {
             &disposition,
         );
         job.reply.send(response);
+    }
+
+    /// The answer to a request whose handling panicked: a structured
+    /// `internal error`, counted in `pchls_job_panics_total`.
+    fn contained_panic(&self, id: u64) -> (SubmitResponse, Disposition) {
+        self.job_panics.inc();
+        (
+            SubmitResponse::error(id, "internal error"),
+            Disposition::Failed,
+        )
     }
 
     /// The one bookkeeping step of every answered request, whichever
@@ -1243,6 +1278,56 @@ mod tests {
                 serde_json::to_string(&direct_point(service.engine(), graph, t, p)).unwrap();
             assert_eq!(served, direct, "{graph} T={t} P={p}");
         }
+    }
+
+    #[test]
+    fn a_panicking_worker_job_fails_one_request_and_the_worker_serves_on() {
+        // One shard with one synthesis worker: if the panic killed that
+        // worker, no later cold request could ever be answered.
+        let service = Service::start(
+            Engine::new(paper_library()),
+            ServiceConfig {
+                workers: 1,
+                shards: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let ask = |request: SubmitRequest| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            service.submit(request, tx).expect("service is running");
+            rx.recv_timeout(Duration::from_secs(120))
+                .expect("a live worker answers")
+        };
+        let encode = |r: &SubmitResponse| serde_json::to_string(r).unwrap();
+        let warm = ask(SubmitRequest::synth(1, "hal", 17, 25.0));
+        assert!(warm.ok, "{:?}", warm.error);
+
+        service.panic_next_job();
+        let failed = ask(SubmitRequest::synth(2, "cosine", 15, 40.0));
+        assert_eq!(failed.id, 2);
+        assert!(!failed.ok);
+        assert_eq!(failed.error.as_deref(), Some("internal error"));
+
+        // The same cold point, now answered by the surviving worker, is
+        // byte-identical to direct synthesis; the warm point repeats.
+        let cold = ask(SubmitRequest::synth(3, "cosine", 15, 40.0));
+        assert!(cold.ok, "{:?}", cold.error);
+        assert_eq!(
+            serde_json::to_string(&cold.point.unwrap()).unwrap(),
+            serde_json::to_string(&direct_point(service.engine(), "cosine", 15, 40.0)).unwrap()
+        );
+        assert_eq!(
+            encode(&ask(SubmitRequest::synth(1, "hal", 17, 25.0))),
+            encode(&warm)
+        );
+        let stats = service.stats();
+        assert_eq!((stats.requests, stats.completed, stats.failed), (4, 3, 1));
+        assert!(service
+            .metrics_text()
+            .lines()
+            .any(|l| l == "pchls_job_panics_total 1"));
+        // No worker died, so shutdown joins every pool cleanly.
+        service.shutdown();
     }
 
     #[test]
